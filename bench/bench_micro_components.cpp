@@ -126,6 +126,28 @@ void BM_EventQueueScheduleFire(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueScheduleFire);
 
+// What a fleet home pays per stream it creates: most streams are drawn only
+// a handful of times, so creation plus the first draw dominates their cost.
+void BM_RngFreshStreamFirstDraw(benchmark::State& state) {
+  std::uint64_t seed = 1;
+  for (auto _ : state) {
+    sim::RngRegistry registry{seed++};
+    benchmark::DoNotOptimize(
+        registry.stream("net.link.jitter").uniform_int(-2'000'000, 2'000'000));
+  }
+}
+BENCHMARK(BM_RngFreshStreamFirstDraw);
+
+// A draw from a stream already held (the per-packet jitter draw).
+void BM_RngSteadyDraw(benchmark::State& state) {
+  sim::RngRegistry registry{1};
+  sim::Rng& rng = registry.stream("net.link.jitter");
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(rng.uniform_int(-2'000'000, 2'000'000));
+  }
+}
+BENCHMARK(BM_RngSteadyDraw);
+
 // Captures per-benchmark adjusted real time while still printing the normal
 // console table, then emits one grep-able BENCH_JSON summary line (repo
 // convention, see bench_throughput).

@@ -79,7 +79,7 @@ void AvsServerApp::on_record(Session& s, const net::TlsRecord& r) {
 
 void AvsServerApp::execute_and_respond(Session& s, std::string_view cmd_tag) {
   executed_.push_back(ExecutedCommand{std::string(cmd_tag), host_.sim().now()});
-  auto& rng = host_.sim().rng("cloud.avs");
+  auto& rng = response_rng_.get(host_.sim().rngs(), "cloud.avs");
   sim::Duration delay =
       opts_.process_delay_mean +
       sim::Duration{rng.uniform_int(-opts_.process_delay_spread.ns(),

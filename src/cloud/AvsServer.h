@@ -108,6 +108,7 @@ class AvsServerApp {
   std::uint64_t outage_refused_{0};
   sim::Duration extra_delay_{};
   std::uint64_t browned_out_{0};
+  sim::RngHandle response_rng_;
 };
 
 /// A generic "other Amazon server" endpoint: accepts connections, replies to

@@ -74,7 +74,7 @@ void CloudFarm::migrate_avs_now() {
 }
 
 void CloudFarm::schedule_migration() {
-  auto& rng = net_.sim().rng("cloud.migration");
+  auto& rng = migration_rng_.get(net_.sim().rngs(), "cloud.migration");
   const sim::Duration wait = sim::from_seconds(
       rng.exponential_mean(opts_.avs_migration_mean.seconds()));
   net_.sim().after(wait, [this] {

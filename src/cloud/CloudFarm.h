@@ -112,6 +112,7 @@ class CloudFarm {
   std::unique_ptr<net::DnsServerApp> dns_app_;
   std::size_t active_avs_{0};
   std::uint64_t migrations_{0};
+  sim::RngHandle migration_rng_;
 };
 
 }  // namespace vg::cloud

@@ -41,7 +41,7 @@ void GoogleCloudApp::on_tcp_record(TcpSession& s, const net::TlsRecord& r) {
 }
 
 void GoogleCloudApp::respond_tcp(TcpSession& s) {
-  auto& rng = host_.sim().rng("cloud.google");
+  auto& rng = delay_rng_.get(host_.sim().rngs(), "cloud.google");
   const sim::Duration delay =
       opts_.process_delay_mean +
       sim::Duration{rng.uniform_int(-opts_.process_delay_spread.ns(),
@@ -101,7 +101,7 @@ void GoogleCloudApp::on_quic_datagram(const net::Packet& p) {
 }
 
 void GoogleCloudApp::respond_quic(QuicSession& s) {
-  auto& rng = host_.sim().rng("cloud.google");
+  auto& rng = delay_rng_.get(host_.sim().rngs(), "cloud.google");
   const sim::Duration delay =
       opts_.process_delay_mean +
       sim::Duration{rng.uniform_int(-opts_.process_delay_spread.ns(),

@@ -76,6 +76,7 @@ class GoogleCloudApp {
   std::uint64_t violations_{0};
   std::uint64_t tcp_sessions_{0};
   std::uint64_t quic_sessions_{0};
+  sim::RngHandle delay_rng_;
 };
 
 }  // namespace vg::cloud

@@ -6,7 +6,7 @@
 namespace vg::home {
 
 sim::Duration FcmService::sample_latency() {
-  auto& rng = sim_.rng("home.fcm");
+  auto& rng = latency_rng_.get(sim_.rngs(), "home.fcm");
   const double secs =
       rng.lognormal(opts_.latency_lognormal_mu, opts_.latency_lognormal_sigma);
   sim::Duration d = sim::from_seconds(secs);
@@ -31,7 +31,7 @@ void FcmService::push(const std::string& token, std::string payload) {
   for (const FaultWindow& w : faults_) {
     if (now < w.start || now >= w.end) continue;
     if (w.drop_prob > 0.0 &&
-        sim_.rng("home.fcm.fault").chance(w.drop_prob)) {
+        fault_rng_.get(sim_.rngs(), "home.fcm.fault").chance(w.drop_prob)) {
       ++dropped_;
       return;
     }

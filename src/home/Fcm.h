@@ -70,6 +70,8 @@ class FcmService {
   std::uint64_t pushes_{0};
   std::uint64_t dropped_{0};
   std::vector<FaultWindow> faults_;
+  sim::RngHandle latency_rng_;
+  sim::RngHandle fault_rng_;
 };
 
 }  // namespace vg::home

@@ -25,7 +25,8 @@ void MobileDevice::handle_measure_request(
     return;
   }
   scanner_.measure(beacon, [this, report = std::move(report)](double rssi) {
-    auto& rng = sim_.rng("home.device." + name_ + ".uplink");
+    auto& rng = uplink_rng_.get(sim_.rngs(),
+                                [this] { return "home.device." + name_ + ".uplink"; });
     const sim::Duration uplink{rng.uniform_int(
         opts_.report_latency_min.ns(), opts_.report_latency_max.ns())};
     sim_.after(uplink, [report, rssi] { report(rssi); });

@@ -83,7 +83,7 @@ bool Link::fault_consumes(sim::TimePoint now, sim::Duration& extra) {
   }
   for (BurstWindow& w : bursts_) {
     if (now < w.start || now >= w.end) continue;
-    auto& rng = net_.sim().rng("net.link.burst");
+    auto& rng = burst_rng_.get(net_.sim().rngs(), "net.link.burst");
     if (w.bad) {
       if (rng.chance(w.params.p_exit_bad)) w.bad = false;
     } else if (rng.chance(w.params.p_enter_bad)) {
@@ -115,14 +115,14 @@ void Link::send_from(NetNode& sender, Packet p) {
   }
 
   if (loss_rate_ > 0.0 &&
-      net_.sim().rng("net.link.loss").chance(loss_rate_)) {
+      loss_rng_.get(net_.sim().rngs(), "net.link.loss").chance(loss_rate_)) {
     ++dropped_;
     return;
   }
 
   sim::Duration d = latency_ + fault_extra;
   if (jitter_.ns() > 0) {
-    auto& rng = net_.sim().rng("net.link.jitter");
+    auto& rng = jitter_rng_.get(net_.sim().rngs(), "net.link.jitter");
     d += sim::Duration{rng.uniform_int(-jitter_.ns(), jitter_.ns())};
   }
   if (d.ns() < 0) d = sim::Duration{0};

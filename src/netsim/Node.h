@@ -140,6 +140,9 @@ class Link {
   std::vector<FlapWindow> flaps_;
   std::vector<BurstWindow> bursts_;
   std::vector<SpikeWindow> spikes_;
+  sim::RngHandle jitter_rng_;
+  sim::RngHandle loss_rng_;
+  sim::RngHandle burst_rng_;
   sim::TimePoint last_delivery_ab_{};
   sim::TimePoint last_delivery_ba_{};
 };

@@ -56,8 +56,7 @@ TcpConnection::TcpConnection(TcpStack& stack, Endpoint local, Endpoint remote,
       unacked_(sim::ArenaAlloc<Packet>{stack.arena()}),
       out_of_order_(
           sim::ArenaAlloc<std::pair<const std::uint32_t, Packet>>{stack.arena()}) {
-  iss_ = static_cast<std::uint32_t>(
-      stack_.sim().rng(stack_.name() + ".tcp.isn").uniform_int(1000, 500000));
+  iss_ = static_cast<std::uint32_t>(stack_.isn_rng().uniform_int(1000, 500000));
   snd_una_ = iss_;
   snd_nxt_ = iss_;
   last_activity_ = stack_.sim().now();

@@ -250,11 +250,15 @@ class TcpStack {
   void remove(TcpConnection& c);
   void send_rst_for(const Packet& p);
   Port ephemeral_port() { return next_port_++; }
+  sim::Rng& isn_rng() {
+    return isn_rng_.get(sim_.rngs(), [this] { return name_ + ".tcp.isn"; });
+  }
 
   sim::Simulation& sim_;
   IpAddress ip_;
   PacketOut out_;
   std::string name_;
+  sim::RngHandle isn_rng_;
   std::unordered_map<Port, AcceptHandler> listeners_;
   AcceptHandler transparent_listener_;
   std::unordered_map<ConnKey, std::unique_ptr<TcpConnection>, ConnKeyHash> conns_;

@@ -80,6 +80,8 @@ class BluetoothScanner {
   PositionFn pos_;
   ScanParams scan_;
   PropagationCache cache_;
+  sim::RngHandle rssi_rng_;
+  sim::RngHandle scan_rng_;
 };
 
 }  // namespace vg::radio

@@ -1,8 +1,25 @@
 #include "simcore/Rng.h"
 
 #include <stdexcept>
+#include <utility>
 
 namespace vg::sim {
+
+void LazyMt19937_64::extend_chain() {
+  // Draw pos_ of the first round reads words pos_ + 1 and, before the
+  // halfway point, pos_ + kM; past it the second operand is an already
+  // twisted word.
+  const std::uint32_t need = pos_ + kM + 1 < kN ? pos_ + kM + 1 : kN;
+  for (; chain_ < need; ++chain_) {
+    const result_type prev = x_[chain_ - 1];
+    x_[chain_] = 6364136223846793005ULL * (prev ^ (prev >> 62)) + chain_;
+  }
+}
+
+std::size_t Rng::index(std::size_t n) {
+  if (n == 0) throw std::invalid_argument{"index: empty range"};
+  return static_cast<std::size_t>(uniform_int(0, static_cast<std::int64_t>(n) - 1));
+}
 
 std::size_t Rng::weighted_index(const std::vector<double>& weights) {
   double total = 0.0;
@@ -40,10 +57,12 @@ std::uint64_t RngRegistry::hash_name(std::uint64_t seed, std::string_view name) 
 }
 
 Rng& RngRegistry::stream(std::string_view name) {
-  auto it = streams_.find(std::string{name});
-  if (it != streams_.end()) return it->second;
-  auto [ins, _] = streams_.emplace(std::string{name}, Rng{hash_name(root_seed_, name)});
-  return ins->second;
+  std::string key{name};
+  auto it = streams_.find(key);
+  if (it == streams_.end()) {
+    it = streams_.try_emplace(std::move(key), hash_name(root_seed_, name)).first;
+  }
+  return it->second;
 }
 
 }  // namespace vg::sim

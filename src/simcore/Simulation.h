@@ -105,6 +105,8 @@ class Simulation {
   /// Executes a bounded number of events (debugging aid). Returns how many ran.
   std::size_t step(std::size_t max_events = 1);
 
+  /// The stream \p stream, looked up by name on every call; a component that
+  /// draws per packet or per reading holds it in a RngHandle instead.
   Rng& rng(std::string_view stream) { return rngs_.stream(stream); }
   RngRegistry& rngs() { return rngs_; }
 

@@ -22,7 +22,7 @@ void EchoDotModel::power_on() {
 }
 
 void EchoDotModel::resolve_and_connect(bool allow_dnsless) {
-  auto& rng = host_.sim().rng("speaker.echo");
+  auto& rng = connect_rng_.get(host_.sim().rngs(), "speaker.echo");
   if (allow_dnsless && !rng.chance(opts_.dns_on_reconnect_prob)) {
     // Reconnect without an observable DNS query (§IV-B: "sometimes we fail
     // to acquire the new IP address of the AVS server by tracking DNS").
@@ -100,7 +100,7 @@ void EchoDotModel::on_connection_closed(net::TcpCloseReason reason) {
   }
   if (!powered_) return;
   ++reconnects_;
-  auto& rng = host_.sim().rng("speaker.echo");
+  auto& rng = connect_rng_.get(host_.sim().rngs(), "speaker.echo");
   sim::Duration wait{rng.uniform_int(opts_.reconnect_delay_min.ns(),
                                      opts_.reconnect_delay_max.ns())};
   if (opts_.reconnect_backoff_factor > 1.0) {
@@ -141,11 +141,11 @@ void EchoDotModel::schedule_heartbeat() {
 }
 
 void EchoDotModel::schedule_misc_connection() {
-  auto& rng = host_.sim().rng("speaker.echo.misc");
+  auto& rng = misc_rng_.get(host_.sim().rngs(), "speaker.echo.misc");
   const sim::Duration wait =
       sim::from_seconds(rng.exponential_mean(opts_.misc_connection_mean.seconds()));
   host_.sim().after(wait, [this] {
-    auto& r = host_.sim().rng("speaker.echo.misc");
+    auto& r = misc_rng_.get(host_.sim().rngs(), "speaker.echo.misc");
     const int idx = static_cast<int>(r.uniform_int(0, 5));
     dns_.resolve("misc-" + std::to_string(idx) + ".amazon.com",
                  [this, idx](const net::AddrVec& ips) {
@@ -191,7 +191,7 @@ void EchoDotModel::hear_command(const CommandSpec& cmd) {
 }
 
 void EchoDotModel::start_phase1(const CommandSpec& cmd, sim::TimePoint wake_time) {
-  auto& rng = host_.sim().rng("speaker.echo.traffic");
+  auto& rng = traffic_rng_.get(host_.sim().rngs(), "speaker.echo.traffic");
   pending_ = PendingInteraction{};
   pending_->cmd = cmd;
   pending_->wake_time = wake_time;
@@ -267,7 +267,7 @@ void EchoDotModel::on_server_record(const net::TlsRecord& r) {
       pending_->segments_expected = total;
       host_.sim().cancel(pending_->timeout_timer);
       // Begin playing segment 1.
-      auto& rng = host_.sim().rng("speaker.echo.playback");
+      auto& rng = playback_rng_.get(host_.sim().rngs(), "speaker.echo.playback");
       const sim::Duration playback{rng.uniform_int(
           opts_.segment_playback_min.ns(), opts_.segment_playback_max.ns())};
       const std::uint64_t igen = interaction_gen_;
@@ -284,7 +284,7 @@ void EchoDotModel::segment_done(std::uint64_t interaction_gen) {
     finish_interaction(/*response_received=*/true, false, false);
     return;
   }
-  auto& rng = host_.sim().rng("speaker.echo.playback");
+  auto& rng = playback_rng_.get(host_.sim().rngs(), "speaker.echo.playback");
   const sim::Duration playback{rng.uniform_int(opts_.segment_playback_min.ns(),
                                                opts_.segment_playback_max.ns())};
   host_.sim().after(playback,
@@ -292,7 +292,7 @@ void EchoDotModel::segment_done(std::uint64_t interaction_gen) {
 }
 
 void EchoDotModel::emit_phase2_spike() {
-  auto& rng = host_.sim().rng("speaker.echo.traffic");
+  auto& rng = traffic_rng_.get(host_.sim().rngs(), "speaker.echo.traffic");
   const auto prefix = gen_phase2_prefix(rng);
   const std::uint64_t gen = conn_gen_;
   sim::Duration t{0};

@@ -167,6 +167,10 @@ class EchoDotModel {
   sim::TimePoint last_established_at_{};
   int reconnect_streak_{0};
   bool powered_{false};
+  sim::RngHandle connect_rng_;
+  sim::RngHandle misc_rng_;
+  sim::RngHandle traffic_rng_;
+  sim::RngHandle playback_rng_;
 };
 
 }  // namespace vg::speaker

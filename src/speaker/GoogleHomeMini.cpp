@@ -27,7 +27,7 @@ void GoogleHomeMiniModel::hear_command(const CommandSpec& cmd) {
 void GoogleHomeMiniModel::start_interaction(const CommandSpec& cmd,
                                             sim::TimePoint wake,
                                             net::IpAddress server_ip) {
-  auto& rng = host_.sim().rng("speaker.ghm");
+  auto& rng = transport_rng_.get(host_.sim().rngs(), "speaker.ghm");
   pending_ = PendingInteraction{};
   pending_->cmd = cmd;
   pending_->wake_time = wake;
@@ -75,7 +75,7 @@ void GoogleHomeMiniModel::run_tcp(net::IpAddress server_ip) {
       if (!pending_->response_start) on_response_start();
       if (r.tag == "response-end") {
         // Speak the answer, then the interaction is over.
-        auto& rng = host_.sim().rng("speaker.ghm.playback");
+        auto& rng = playback_rng_.get(host_.sim().rngs(), "speaker.ghm.playback");
         const sim::Duration playback{rng.uniform_int(
             sim::seconds(2).ns(), sim::seconds(5).ns())};
         net::TcpConnection* conn = pending_->conn;
@@ -102,7 +102,7 @@ void GoogleHomeMiniModel::run_tcp(net::IpAddress server_ip) {
 }
 
 void GoogleHomeMiniModel::stream_command_tcp(std::uint64_t igen) {
-  auto& rng = host_.sim().rng("speaker.ghm.traffic");
+  auto& rng = traffic_rng_.get(host_.sim().rngs(), "speaker.ghm.traffic");
   auto send = [this, igen](std::uint32_t len, std::string_view tag) {
     if (!pending_ || igen != interaction_gen_ || pending_->conn == nullptr) return;
     net::TlsRecord r;
@@ -161,7 +161,7 @@ void GoogleHomeMiniModel::run_quic(net::IpAddress server_ip) {
       if (r.tag.starts_with("response")) {
         if (!pending_->response_start) on_response_start();
         if (r.tag == "response-end") {
-          auto& rng = host_.sim().rng("speaker.ghm.playback");
+          auto& rng = playback_rng_.get(host_.sim().rngs(), "speaker.ghm.playback");
           const sim::Duration playback{rng.uniform_int(
               sim::seconds(2).ns(), sim::seconds(5).ns())};
           host_.sim().after(playback, [this, igen] {
@@ -177,7 +177,7 @@ void GoogleHomeMiniModel::run_quic(net::IpAddress server_ip) {
 
 void GoogleHomeMiniModel::stream_command_quic(std::uint64_t igen,
                                               net::IpAddress server_ip) {
-  auto& rng = host_.sim().rng("speaker.ghm.traffic");
+  auto& rng = traffic_rng_.get(host_.sim().rngs(), "speaker.ghm.traffic");
   const net::Endpoint local{host_.ip(), pending_->quic_local_port};
   const net::Endpoint remote{server_ip, opts_.port};
   auto send = [this, igen, local, remote](std::uint32_t len, std::string_view tag) {

@@ -84,6 +84,9 @@ class GoogleHomeMiniModel {
   std::uint64_t quic_count_{0};
   std::uint64_t tcp_count_{0};
   bool powered_{false};
+  sim::RngHandle transport_rng_;
+  sim::RngHandle traffic_rng_;
+  sim::RngHandle playback_rng_;
 };
 
 }  // namespace vg::speaker

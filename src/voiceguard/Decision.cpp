@@ -111,7 +111,7 @@ void RssiDecisionModule::do_query(Verdict verdict) {
 
 sim::Duration RssiDecisionModule::retry_delay(sim::Duration base) {
   if (opts_.fcm_retry_jitter <= 0.0) return base;
-  auto& rng = sim_.rng("guard.fcm.backoff");
+  auto& rng = backoff_rng_.get(sim_.rngs(), "guard.fcm.backoff");
   const double u = rng.uniform(0.0, opts_.fcm_retry_jitter);
   return sim::Duration{base.ns() - static_cast<std::int64_t>(
                                        static_cast<double>(base.ns()) * u)};

@@ -232,6 +232,7 @@ class RssiDecisionModule : public DecisionModule {
   std::vector<QueryRecord> history_;
   std::uint64_t fcm_retries_{0};
   std::uint64_t late_reports_{0};
+  sim::RngHandle backoff_rng_;
 };
 
 }  // namespace vg::guard

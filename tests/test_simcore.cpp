@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "simcore/EventQueue.h"
 #include "simcore/Log.h"
 #include "simcore/Rng.h"
@@ -101,6 +106,99 @@ TEST(Rng, WeightedIndexRejectsBadInput) {
   RngRegistry r{1};
   EXPECT_THROW(r.stream("w").weighted_index({0.0, 0.0}), std::invalid_argument);
   EXPECT_THROW(r.stream("w").weighted_index({-1.0, 2.0}), std::invalid_argument);
+}
+
+TEST(Rng, IndexRejectsEmptyRange) {
+  RngRegistry r{1};
+  auto& s = r.stream("i");
+  EXPECT_THROW(s.index(0), std::invalid_argument);
+  EXPECT_THROW(s.pick(std::vector<int>{}), std::invalid_argument);
+  EXPECT_EQ(s.index(1), 0u);
+}
+
+// Literals captured from the standard-engine implementation: a change to the
+// name hashing, the seeding or the engine moves every stream of every run.
+TEST(Rng, SeedingIsPinned) {
+  struct Pinned {
+    std::uint64_t root;
+    const char* name;
+    std::uint64_t hash;
+    std::int64_t draws[8];  // full-range uniform_int, i.e. raw engine words
+  };
+  const Pinned pinned[] = {
+      {1, "net.link.jitter", 0xA25631661C1AFCA0ULL,
+       {-8094904198104649194, 4779543893311800747, 3825173355237605343,
+        -8263916562029495929, -4287872781103835532, -4695662935361127912,
+        -1871513436608380851, -2235707404743677216}},
+      {42, "radio.rssi.phone-1", 0x8EBD0C61777E4356ULL,
+       {8564957467154827874, 7662097070644676798, 5084928499109099811,
+        3022639678880725584, -3359514425125876784, 234986302664052573,
+        4318844526805783649, -8028839921058622160}},
+      {~0ULL, "speaker.echo.traffic", 0x3E67D2EA71F0D470ULL,
+       {-2681128736890115, -5382641244497784994, -1716024520352071640,
+        2346065946068491496, -3174784522945735468, -527674891125042245,
+        8683862115501262942, -7538859949677799382}},
+  };
+  for (const Pinned& p : pinned) {
+    SCOPED_TRACE(p.name);
+    EXPECT_EQ(RngRegistry::hash_name(p.root, p.name), p.hash);
+    RngRegistry r{p.root};
+    Rng& s = r.stream(p.name);
+    for (std::int64_t want : p.draws) {
+      EXPECT_EQ(s.uniform_int(std::numeric_limits<std::int64_t>::min(),
+                              std::numeric_limits<std::int64_t>::max()),
+                want);
+    }
+  }
+}
+
+// Components hold the Rng& a registry hands out (RngHandle), so the
+// reference must survive the registry growing and rehashing.
+TEST(RngRegistry, StreamReferencesSurviveGrowth) {
+  RngRegistry r{3};
+  Rng& held = r.stream("held");
+  const double first = held.uniform();
+  for (int i = 0; i < 1000; ++i) (void)r.stream("s" + std::to_string(i)).uniform();
+  EXPECT_EQ(&r.stream("held"), &held);
+
+  RngRegistry fresh{3};
+  Rng& ref = fresh.stream("held");
+  EXPECT_EQ(ref.uniform(), first);
+  EXPECT_EQ(held.uniform(), ref.uniform());
+}
+
+// Handles resolve streams lazily, at each component's first draw, so the
+// order in which streams come into existence varies run to run; it must not
+// change what any stream draws.
+TEST(RngRegistry, CreationOrderDoesNotChangeDraws) {
+  std::vector<std::string> names;
+  for (int i = 0; i < 64; ++i) names.push_back("stream." + std::to_string(i));
+  RngRegistry forward{9}, backward{9};
+  for (const auto& n : names) (void)forward.stream(n);
+  for (auto it = names.rbegin(); it != names.rend(); ++it) (void)backward.stream(*it);
+  for (const auto& n : names) {
+    for (int k = 0; k < 4; ++k) {
+      EXPECT_EQ(forward.stream(n).uniform_int(0, 1'000'000'000),
+                backward.stream(n).uniform_int(0, 1'000'000'000))
+          << n;
+    }
+  }
+}
+
+TEST(RngHandle, ResolvesOnceToTheRegistryStream) {
+  RngRegistry r{5};
+  RngHandle literal;
+  RngHandle built;
+  int names_built = 0;
+  auto make_name = [&names_built] {
+    ++names_built;
+    return std::string{"radio.rssi."} + "phone-1";
+  };
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(&literal.get(r, "net.link.jitter"), &r.stream("net.link.jitter"));
+    EXPECT_EQ(&built.get(r, make_name), &r.stream("radio.rssi.phone-1"));
+  }
+  EXPECT_EQ(names_built, 1);
 }
 
 TEST(Rng, ChanceExtremes) {
