@@ -6,10 +6,12 @@
 /// twice — serially on the calling thread, then fanned across cores with
 /// sim::BatchRunner — and cross-checked for bit-identical results.
 ///
-/// Reports events/sec (serial, the kernel hot-path metric), trials/sec
-/// (batched, the fleet metric) and allocs/event (global allocator pressure —
-/// the per-simulation arena's headline number), plus a machine-readable
-/// BENCH_JSON line:
+/// Reports events/sec (serial, the kernel hot-path metric), simulated
+/// seconds per wall second (serial; its numerator is fixed by the trial
+/// matrix, so unlike events/sec it cannot fall when a change removes events),
+/// trials/sec (batched, the fleet metric) and allocs/event (global allocator
+/// pressure — the per-simulation arena's headline number), plus a
+/// machine-readable BENCH_JSON line:
 ///   BENCH_JSON {"bench":"throughput",...}
 ///
 /// Usage: bench_throughput [--days N] [--workers N]
@@ -116,6 +118,7 @@ int main(int argc, char** argv) {
   }
   const bool match = identical(serial, batched);
   const double evps = static_cast<double>(events) / serial_s;
+  const double sim_sps = sim_secs / serial_s;
   const double trials_ps = static_cast<double>(specs.size()) / batch_s;
   const double speedup = serial_s / batch_s;
   const double allocs_per_event =
@@ -126,8 +129,8 @@ int main(int argc, char** argv) {
               specs.size(), days);
   std::printf("kernel events        : %llu (%.0f simulated seconds)\n",
               static_cast<unsigned long long>(events), sim_secs);
-  std::printf("serial wall          : %.3f s  -> %.0f events/sec\n", serial_s,
-              evps);
+  std::printf("serial wall          : %.3f s  -> %.0f events/sec, %.0f simulated s/sec\n",
+              serial_s, evps, sim_sps);
   std::printf("batched wall         : %.3f s  -> %.2f trials/sec on %u workers\n",
               batch_s, trials_ps, pool.worker_count());
   std::printf("speedup              : %.2fx\n", speedup);
@@ -140,10 +143,12 @@ int main(int argc, char** argv) {
       "\nBENCH_JSON {\"bench\":\"throughput\",\"trials\":%zu,\"days\":%d,"
       "\"workers\":%u,\"serial_seconds\":%.3f,\"batch_seconds\":%.3f,"
       "\"events\":%llu,\"events_per_sec_serial\":%.0f,"
+      "\"sim_seconds\":%.0f,\"sim_seconds_per_sec_serial\":%.0f,"
       "\"trials_per_sec_batch\":%.3f,\"speedup\":%.3f,"
       "\"serial_allocs\":%zu,\"allocs_per_event\":%.3f,\"identical\":%s}\n",
       specs.size(), days, pool.worker_count(), serial_s, batch_s,
-      static_cast<unsigned long long>(events), evps, trials_ps, speedup,
-      serial_allocs, allocs_per_event, match ? "true" : "false");
+      static_cast<unsigned long long>(events), evps, sim_secs, sim_sps,
+      trials_ps, speedup, serial_allocs, allocs_per_event,
+      match ? "true" : "false");
   return match ? 0 : 1;
 }

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <vector>
 
@@ -34,12 +35,15 @@ class MotionSensor {
 
   MotionSensor(sim::Simulation& sim, radio::Rect region)
       : MotionSensor(sim, region, Options{}) {}
+  /// Throws std::invalid_argument when opts.poll_interval is not positive.
   MotionSensor(sim::Simulation& sim, radio::Rect region, Options opts);
+  /// Cancels the pending poll and unregisters from every watched person.
+  ~MotionSensor();
 
-  void watch(Person& p) {
-    people_.push_back(&p);
-    inside_.push_back(false);
-  }
+  MotionSensor(const MotionSensor&) = delete;
+  MotionSensor& operator=(const MotionSensor&) = delete;
+
+  void watch(Person& p);
 
   /// Adds an activation subscriber (fires after the trigger latency).
   void subscribe(std::function<void()> cb) {
@@ -48,7 +52,15 @@ class MotionSensor {
 
   [[nodiscard]] std::uint64_t activations() const { return activations_; }
 
-  /// Starts polling. Safe to call once; lives for the simulation's duration.
+  /// Starts sampling, first at the current time. Samples follow the grid
+  /// start + k * poll_interval, but only while a watched person moves: a
+  /// sample that finds everyone still ends the sampling, and the next change
+  /// of a watched person's motion (Person::teleport / follow_path) resumes it
+  /// at the first grid tick not before that change and after the last
+  /// sample. A still world cannot change what a sample sees, so the edges
+  /// reported match sampling every tick (DESIGN.md, "Event-driven sensing",
+  /// names the two contrived script shapes where they do not). Safe to call
+  /// once.
   void start();
 
   /// True if \p p is inside the sensor's 3-D coverage.
@@ -57,17 +69,30 @@ class MotionSensor {
   }
 
  private:
+  friend class Person;  // wake() on a motion change, forget() on destruction
+
+  struct Watched {
+    Person* person;
+    bool inside;  // was inside the coverage at the last sample
+  };
+
   void poll();
+  /// Resumes sampling after a watched person's motion state changed; a no-op
+  /// before start() or while a sample is already pending.
+  void wake();
+  void forget(const Person& p);
 
   sim::Simulation& sim_;
   radio::Rect region_;
   Options opts_;
-  std::vector<Person*> people_;
-  std::vector<bool> inside_;  // parallel to people_: was inside last poll
+  std::vector<Watched> watched_;
   std::vector<std::function<void()>> subscribers_;
   sim::TimePoint quiet_until_{};
   std::uint64_t activations_{0};
   bool started_{false};
+  sim::TimePoint grid_start_{};
+  std::int64_t last_tick_{0};  // grid index of the last sample
+  sim::EventId next_poll_{};   // the pending sample; empty while asleep
 };
 
 }  // namespace vg::home

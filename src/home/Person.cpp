@@ -2,7 +2,17 @@
 
 #include <algorithm>
 
+#include "home/MotionSensor.h"
+
 namespace vg::home {
+
+Person::~Person() {
+  for (MotionSensor* s : watchers_) s->forget(*this);
+}
+
+void Person::wake_watchers() {
+  for (MotionSensor* s : watchers_) s->wake();
+}
 
 radio::Vec3 Person::position() const {
   const sim::TimePoint now = sim_.now();
@@ -25,6 +35,7 @@ void Person::teleport(radio::Vec3 p) {
   path_.clear();
   path_index_ = 0;
   done_ = nullptr;
+  wake_watchers();
 }
 
 void Person::walk_to(radio::Vec3 target, double speed_mps,
@@ -43,6 +54,7 @@ void Person::follow_path(std::vector<radio::Vec3> points, double speed_mps,
   path_index_ = 0;
   speed_ = std::max(0.1, speed_mps);
   done_ = std::move(done);
+  wake_watchers();
   advance_segment();
 }
 

@@ -15,10 +15,17 @@
 
 namespace vg::home {
 
+class MotionSensor;
+
 class Person {
  public:
   Person(sim::Simulation& sim, std::string name, radio::Vec3 start)
       : sim_(sim), name_(std::move(name)), from_(start), to_(start) {}
+  /// Drops this person from every sensor still watching it.
+  ~Person();
+
+  Person(const Person&) = delete;
+  Person& operator=(const Person&) = delete;
 
   [[nodiscard]] const std::string& name() const { return name_; }
 
@@ -27,11 +34,13 @@ class Person {
 
   [[nodiscard]] bool moving() const;
 
-  /// Instantly relocates (scenario setup only).
+  /// Instantly relocates (scenario setup only). Wakes the watching sensors.
   void teleport(radio::Vec3 p);
 
   /// Walks the polyline \p points at \p speed_mps, then invokes \p done.
-  /// Cancels any walk in progress.
+  /// Cancels any walk in progress. Wakes the watching sensors before the
+  /// first segment is scheduled, so their first sample precedes the walk's
+  /// own events at that tick.
   void follow_path(std::vector<radio::Vec3> points, double speed_mps,
                    std::function<void()> done = nullptr);
 
@@ -43,7 +52,10 @@ class Person {
   static constexpr double kDefaultSpeed = 1.1;
 
  private:
+  friend class MotionSensor;  // registers itself in watchers_
+
   void advance_segment();
+  void wake_watchers();
 
   sim::Simulation& sim_;
   std::string name_;
@@ -56,6 +68,7 @@ class Person {
   double speed_{kDefaultSpeed};
   std::function<void()> done_;
   std::uint64_t walk_gen_{0};
+  std::vector<MotionSensor*> watchers_;
 };
 
 }  // namespace vg::home

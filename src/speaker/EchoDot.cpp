@@ -152,8 +152,16 @@ void EchoDotModel::schedule_misc_connection() {
                    if (!ips.empty()) {
                      // Short-lived side connection with its own establishment
                      // signature; exists to exercise signature discrimination.
+                     // The stack frees the connection once it closes, which
+                     // can happen before the close timer below fires.
+                     const std::uint64_t id = ++misc_opened_;
+                     open_misc_.push_back(id);
+                     net::TcpCallbacks cbs;
+                     cbs.on_closed = [this, id](net::TcpCloseReason) {
+                       std::erase(open_misc_, id);
+                     };
                      net::TcpConnection& c = host_.tcp().connect(
-                         net::Endpoint{ips.front(), 443}, net::TcpCallbacks{});
+                         net::Endpoint{ips.front(), 443}, std::move(cbs));
                      std::uint64_t seq = 0;
                      for (std::uint32_t len : other_server_signature(idx)) {
                        net::TlsRecord rec;
@@ -162,8 +170,10 @@ void EchoDotModel::schedule_misc_connection() {
                        rec.tag = "misc-establishment";
                        c.send_record(std::move(rec));
                      }
-                     host_.sim().after(sim::seconds(2), [&c] {
-                       if (c.state() != net::TcpState::kClosed) c.close();
+                     host_.sim().after(sim::seconds(2), [this, &c, id] {
+                       if (std::ranges::find(open_misc_, id) != open_misc_.end()) {
+                         c.close();
+                       }
                      });
                    }
                  });

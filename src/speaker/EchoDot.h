@@ -166,6 +166,10 @@ class EchoDotModel {
   std::uint64_t dnsless_reconnects_{0};
   sim::TimePoint last_established_at_{};
   int reconnect_streak_{0};
+  /// Misc side connections not yet closed, by id: a close timer may only
+  /// touch its connection while the stack still owns it.
+  std::vector<std::uint64_t> open_misc_;
+  std::uint64_t misc_opened_{0};
   bool powered_{false};
   sim::RngHandle connect_rng_;
   sim::RngHandle misc_rng_;

@@ -355,6 +355,27 @@ TEST(WakeCalendar, SkipsIdleEpochsAcrossALongDrain) {
   EXPECT_LT(tel.wakes, 31u * tmpl.homes());
 }
 
+TEST(WakeCalendar, HouseHomesSkipEpochsAndHibernateToo) {
+  // The two-floor house carries the stair motion sensor. It samples only
+  // while someone moves, so an idle house home leaves empty epochs for the
+  // calendar to skip and long enough gaps to hibernate in, like an
+  // apartment home. A sensor that polled for the whole run would put an
+  // event into every epoch and keep both counters at zero.
+  scenario::ScenarioSpec spec = populated_spec();
+  spec.home.testbed = scenario::Testbed::kHouse;
+  spec.schedule.drain = sim::hours(1);
+  spec.population.homes = 3;
+  const WorldTemplate tmpl{spec};
+  const AggregateStats serial = run_fleet_serial(tmpl, 0, tmpl.homes());
+
+  FleetConfig cfg;
+  cfg.shards = 2;
+  WakeTelemetry tel;
+  EXPECT_TRUE(run_fleet(tmpl, cfg, &tel) == serial);
+  EXPECT_GT(tel.epochs_skipped, 0u);
+  EXPECT_GT(tel.hibernations, 0u);
+}
+
 TEST(WakeCalendar, EarliestPossibleEndIsHandled) {
   // One command at offset 0 with the minimum legal drain: the home's end
   // lands before most of the epoch grid, so next_wake clamps to end_ almost

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "cloud/CloudFarm.h"
 #include "netsim/MiddleBox.h"
 #include "speaker/EchoDot.h"
@@ -20,6 +22,27 @@ cloud::CloudFarm::Options no_migration() {
   return o;
 }
 
+/// A transparent wire that can turn every TCP segment from chosen cloud
+/// addresses into a reset, tearing the speaker's connections to them down
+/// from outside.
+class Wire : public net::MiddleBox {
+ public:
+  using MiddleBox::MiddleBox;
+
+  std::vector<IpAddress> reset_from;
+  int resets = 0;
+
+ protected:
+  bool on_wan_packet(net::Packet& p) override {
+    if (p.protocol == net::Protocol::kTcp &&
+        std::ranges::find(reset_from, p.src.ip) != reset_from.end()) {
+      p.tcp.flags.set(net::TcpFlag::kRst);
+      ++resets;
+    }
+    return false;
+  }
+};
+
 /// speaker -- observer wire -- router -- cloud.
 struct ObservedWorld {
   sim::Simulation sim{17};
@@ -27,7 +50,7 @@ struct ObservedWorld {
   net::Router router{"router"};
   cloud::CloudFarm farm{net, router, no_migration()};
   net::Host speaker_host{net, "speaker", IpAddress(192, 168, 1, 200)};
-  net::MiddleBox wire{net, "wire"};
+  Wire wire{net, "wire"};
 
   struct Upstream {
     double t;
@@ -129,6 +152,24 @@ TEST(EchoDotDetails, MiscConnectionsGoToOtherAmazonIps) {
   }
   EXPECT_TRUE(saw_misc);
   EXPECT_TRUE(echo.connected());  // main session unaffected
+}
+
+TEST(EchoDotDetails, MiscConnectionResetBeforeItsCloseTimerIsHarmless) {
+  // Each misc side connection gets a close timer 2 s after it opens. Here
+  // the server resets every one at once, so the stack frees the connection
+  // long before its timer fires; the timer must not touch it.
+  ObservedWorld w;
+  w.wire.reset_from = w.farm.other_amazon_ips();
+  speaker::EchoDotModel::Options opts;
+  opts.misc_connection_mean = sim::seconds(15);
+  speaker::EchoDotModel echo{w.speaker_host, w.farm.dns_endpoint(),
+                             [&w] { return w.farm.current_avs_ip(); }, opts};
+  echo.power_on();
+  w.sim.run_until(sim::TimePoint{} + sim::minutes(3));
+
+  EXPECT_GT(w.wire.resets, 3);
+  EXPECT_TRUE(echo.connected());  // main session unaffected
+  EXPECT_EQ(w.speaker_host.tcp().connection_count(), 1u);
 }
 
 TEST(EchoDotDetails, CommandWhileConnectingYieldsExactlyOneResult) {
