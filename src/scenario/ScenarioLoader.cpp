@@ -179,6 +179,18 @@ faults::LinkFault decode_link_fault(const ScnEntry& e) {
   return f;
 }
 
+/// Capture times become trace timestamps (ms -> ns), which the trace format
+/// caps at trace::kMaxTraceNs.
+constexpr std::int64_t kMaxCaptureMs = trace::kMaxTraceNs / 1'000'000;
+
+void check_trace_time(const ScnEntry& e, std::int64_t end_ms) {
+  if (end_ms > kMaxCaptureMs) {
+    fail(e, "ends at " + std::to_string(end_ms) +
+                " ms, past the trace time cap (" +
+                std::to_string(kMaxCaptureMs) + " ms = 2^62 ns)");
+  }
+}
+
 CaptureOp decode_capture_op(const ScnEntry& e) {
   const auto toks = scn_tokens(e.value);
   CaptureOp op;
@@ -240,6 +252,7 @@ CaptureOp decode_capture_op(const ScnEntry& e) {
     fail(e, "unknown capture op");
   }
   if (op.at_ms < 0) fail(e, "at_ms must be >= 0");
+  check_trace_time(e, op.at_ms);
   return op;
 }
 
@@ -257,6 +270,7 @@ ExpectedSpike decode_expect(const ScnEntry& e) {
     fail(e, "unknown transport '" + toks[1] + "' (expected tcp or udp)");
   }
   sp.at_ms = parse_i64(e, toks[2], "at_ms");
+  check_trace_time(e, sp.at_ms);
   const auto cls = parse_spike_class(toks[3]);
   if (!cls) fail(e, "unknown spike class '" + toks[3] + "'");
   sp.cls = *cls;
@@ -893,6 +907,7 @@ struct Decoder {
           }
           break;
       }
+      check_trace_time(e, end_ms);
       const bool flow_scoped = op.kind != CaptureOp::Kind::kDns &&
                                op.kind != CaptureOp::Kind::kFlow;
       if (flow_scoped && op.flow >= flows) {

@@ -7,18 +7,6 @@
 
 namespace vg::trace {
 
-namespace {
-
-std::int64_t checked_advance(std::int64_t last_ns, std::uint64_t dt) {
-  if (dt > static_cast<std::uint64_t>(
-               std::numeric_limits<std::int64_t>::max() - last_ns)) {
-    throw TraceError{"frame timestamp overflows"};
-  }
-  return last_ns + static_cast<std::int64_t>(dt);
-}
-
-}  // namespace
-
 TraceRecord ColumnBatch::record(std::size_t i) const {
   TraceRecord rec;
   rec.kind = static_cast<FrameKind>(kinds[i]);

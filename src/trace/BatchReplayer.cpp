@@ -1,16 +1,13 @@
 #include "trace/BatchReplayer.h"
 
 #include <algorithm>
-#include <bit>
 #include <limits>
-
-#include "voiceguard/SignatureLearner.h"
 
 namespace vg::trace {
 
 namespace {
 
-enum class Kind : std::uint8_t { kUnmonitored, kAvs, kGoogle };
+using Kind = guard::RecognitionCore::Destination;
 
 /// What pass B does with a flow, decided entirely in pass A:
 ///   kSkip       — never monitored (unmonitored flow, failed/expired probe):
@@ -24,10 +21,12 @@ enum class Kind : std::uint8_t { kUnmonitored, kAvs, kGoogle };
 enum class PlanKind : std::uint8_t { kSkip, kMonitor, kAvsEst, kProbeMatch };
 
 /// Sentinel for "no upstream seen yet": far enough in the past that the idle
-/// test fires unconditionally (replacing Replayer's has_upstream bool),
-/// without now - kNeverUpNs overflowing for any plausible trace timestamp.
+/// test fires unconditionally (replacing the core's has_upstream bool),
+/// without now - kNeverUpNs overflowing for any trace timestamp (all are at
+/// most kMaxTraceNs = 2^62).
 constexpr std::int64_t kNeverUpNs = std::numeric_limits<std::int64_t>::min() / 4;
 
+/// "No deadline": later than every trace timestamp.
 constexpr std::int64_t kNoDeadlineNs = std::numeric_limits<std::int64_t>::max();
 
 }  // namespace
@@ -130,7 +129,8 @@ void BatchReplayResult::merge_tallies(const BatchReplayResult& o) {
   end_time = std::max(end_time, o.end_time);
 }
 
-BatchReplayer::BatchReplayer(ReplayOptions opts) : opts_(std::move(opts)) {}
+BatchReplayer::BatchReplayer(ReplayOptions opts)
+    : core_({opts.mode, /*adaptive_signatures=*/true}) {}
 
 // Out-of-line so FlowPlan/PendingEv/SpikeRef are complete where the vectors
 // destruct.
@@ -139,13 +139,14 @@ BatchReplayer::BatchReplayer(BatchReplayer&&) noexcept = default;
 BatchReplayer& BatchReplayer::operator=(BatchReplayer&&) noexcept = default;
 
 void BatchReplayer::run(const ColumnBatch& b, BatchReplayResult& out) {
-  const std::int64_t est_window_ns = opts_.establishment_window.ns();
-  const std::int64_t idle_gap_ns = opts_.spike_idle_gap.ns();
-  const std::int64_t classify_timeout_ns = opts_.classify_timeout.ns();
-  const std::uint64_t heartbeat_len = opts_.heartbeat_len;
-  const bool forced_mode = opts_.mode != guard::GuardMode::kMonitor;
-  const bool naive_mode = opts_.mode == guard::GuardMode::kNaive;
-  const bool adaptive = opts_.adaptive_signatures;
+  namespace rules = guard::rules;
+  const std::int64_t est_window_ns = rules::kEstablishmentWindow.ns();
+  const std::int64_t idle_gap_ns = rules::kSpikeIdleGap.ns();
+  const std::int64_t classify_timeout_ns = rules::kClassifyTimeout.ns();
+  const std::uint64_t heartbeat_len = rules::kHeartbeatLen;
+  const guard::GuardMode mode = core_.config().mode;
+  const bool forced_mode = mode != guard::GuardMode::kMonitor;
+  const bool naive_mode = mode == guard::GuardMode::kNaive;
 
   out.spikes.clear();
   out.frames = b.size();
@@ -173,12 +174,7 @@ void BatchReplayer::run(const ColumnBatch& b, BatchReplayResult& out) {
   spike_scratch_.clear();
   spike_order_.clear();
   est_pool_used_ = 0;
-  learn_head_ = 0;
-  learn_count_ = 0;
-  learn_published_.assign(opts_.avs_signature.begin(),
-                          opts_.avs_signature.end());
-  net::IpAddress avs_ip{};
-  net::IpAddress google_ip{};
+  core_.reset();
 
   const std::int64_t* const stream_when = b.when_ns.data();
   const std::int64_t* const up_when = b.up_when.data();
@@ -187,48 +183,6 @@ void BatchReplayer::run(const ColumnBatch& b, BatchReplayResult& out) {
   const std::uint8_t* const up_cls = b.up_cls.data();
   const std::uint8_t* const up_tls = b.up_tls.data();
   const std::uint32_t* const up_off = b.up_offsets.data();
-
-  // Mirror of SignatureLearner::observe over the pooled window ring: truncate
-  // to example_prefix, FIFO the last `window` examples, publish the common
-  // prefix of the most recent min_examples when it is long enough, new, and
-  // not a strict prefix of the current signature.
-  const auto learner_observe = [&](const std::uint32_t* lens, std::size_t m) {
-    const guard::SignatureLearner::Options defaults{};
-    m = std::min(m, defaults.example_prefix);
-    // With the ring full, (head + count) % size == head: the new example
-    // overwrites the oldest and the head advances — exactly push_back +
-    // erase(begin) of the reference learner.
-    learn_window_[(learn_head_ + learn_count_) % learn_window_.size()].assign(
-        lens, lens + m);
-    if (learn_count_ == learn_window_.size()) {
-      learn_head_ = (learn_head_ + 1) % learn_window_.size();
-    } else {
-      ++learn_count_;
-    }
-    if (learn_count_ < static_cast<std::size_t>(defaults.min_examples)) return;
-    const std::size_t first = learn_head_ + learn_count_ -
-                              static_cast<std::size_t>(defaults.min_examples);
-    learn_scratch_ = learn_window_[first % learn_window_.size()];
-    for (int k = 1; k < defaults.min_examples; ++k) {
-      const auto& e = learn_window_[(first + k) % learn_window_.size()];
-      std::size_t p = 0;
-      while (p < learn_scratch_.size() && p < e.size() &&
-             learn_scratch_[p] == e[p]) {
-        ++p;
-      }
-      learn_scratch_.resize(p);
-      if (learn_scratch_.empty()) break;
-    }
-    if (learn_scratch_.size() < defaults.min_length) return;
-    if (learn_scratch_ == learn_published_) return;
-    if (!learn_published_.empty() &&
-        learn_scratch_.size() < learn_published_.size() &&
-        std::equal(learn_scratch_.begin(), learn_scratch_.end(),
-                   learn_published_.begin())) {
-      return;
-    }
-    learn_published_.swap(learn_scratch_);
-  };
 
   std::uint32_t ev_seq = 0;
   const auto push_ev = [&](PendingEv ev) {
@@ -241,15 +195,11 @@ void BatchReplayer::run(const ColumnBatch& b, BatchReplayResult& out) {
     std::pop_heap(ev_heap_.begin(), ev_heap_.end());
     ev_heap_.pop_back();
     if (ev.type == 0) {
-      const auto& prefix = est_pool_[ev.arg];
-      learner_observe(prefix.data(), prefix.size());
+      core_.learner().observe(est_pool_[ev.arg]);
     } else {
-      // GuardBox adopts the probed destination as the AVS endpoint.
-      const net::IpAddress dst = b.flows[ev.arg].server.ip;
-      if (avs_ip != dst) {
-        avs_ip = dst;
-        ++out.avs_signature_updates;
-      }
+      // The probed destination becomes the AVS endpoint.
+      out.avs_signature_updates +=
+          core_.adopt_avs_ip(b.flows[ev.arg].server.ip);
     }
   };
 
@@ -284,14 +234,10 @@ void BatchReplayer::run(const ColumnBatch& b, BatchReplayResult& out) {
       }
       if (dpos < cpos) {
         const ColumnBatch::DnsEvent& ev = b.dns[di++];
-        if (ev.domain_code == kDomainAvs) {
-          if (avs_ip != ev.answer) {
-            avs_ip = ev.answer;
-            ++out.avs_dns_updates;
-          }
-        } else {
-          google_ip = ev.answer;
-        }
+        out.avs_dns_updates += core_.on_dns(ev.domain_code == kDomainAvs
+                                                ? guard::VoiceDomain::kAvs
+                                                : guard::VoiceDomain::kGoogle,
+                                            ev.answer);
         continue;
       }
       break;
@@ -303,10 +249,7 @@ void BatchReplayer::run(const ColumnBatch& b, BatchReplayResult& out) {
     FlowPlan f{};
     f.created_ns = created;
     f.udp = tf.protocol == net::Protocol::kUdp;
-    const net::IpAddress dst = tf.server.ip;
-    f.kind = !avs_ip.is_unspecified() && dst == avs_ip      ? Kind::kAvs
-             : !google_ip.is_unspecified() && dst == google_ip ? Kind::kGoogle
-                                                               : Kind::kUnmonitored;
+    f.kind = core_.destination(tf.server.ip);
     if (f.kind == Kind::kAvs) f.hb_sentinel = heartbeat_len;
     const std::uint32_t first = up_off[k];
     const std::uint32_t last = up_off[k + 1];
@@ -316,57 +259,51 @@ void BatchReplayer::run(const ColumnBatch& b, BatchReplayResult& out) {
                                             : PlanKind::kMonitor;
     } else if (f.kind == Kind::kAvs) {
       f.plan = PlanKind::kAvsEst;
-      f.est_close_ns = created + est_window_ns + 100'000'000;
-      if (adaptive) {
-        // Gather the exempted prefix (TLS lengths inside the window; the
-        // learner keeps at most example_prefix of them) and find where the
-        // establishment closes: the first TLS record past the window, or the
-        // close-out timer, whichever the oracle reaches first.
-        const guard::SignatureLearner::Options defaults{};
-        if (est_pool_used_ == est_pool_.size()) est_pool_.emplace_back();
-        auto& prefix = est_pool_[est_pool_used_];
-        prefix.clear();
-        std::uint32_t own_close = 0;
-        std::int64_t own_close_when = kNoDeadlineNs;
-        for (std::uint32_t j = first; j < last; ++j) {
-          if (up_tls[j] == 0) continue;
-          if (up_when[j] - created <= est_window_ns) {
-            if (prefix.size() < defaults.example_prefix) {
-              prefix.push_back(up_len[j]);
-            }
-          } else {
-            own_close = up_pos[j];
-            own_close_when = up_when[j];
-            break;
-          }
+      f.est_close_ns = created + rules::kEstablishmentCloseOut.ns();
+      // Gather the exempted prefix (TLS lengths inside the window) and find
+      // where the establishment closes: the first TLS record past the
+      // window, or the close-out timer, whichever the oracle reaches first.
+      if (est_pool_used_ == est_pool_.size()) est_pool_.emplace_back();
+      auto& prefix = est_pool_[est_pool_used_];
+      prefix.clear();
+      std::uint32_t own_close = 0;
+      std::int64_t own_close_when = kNoDeadlineNs;
+      for (std::uint32_t j = first; j < last; ++j) {
+        if (up_tls[j] == 0) continue;
+        if (up_when[j] - created <= est_window_ns) {
+          prefix.push_back(up_len[j]);
+        } else {
+          own_close = up_pos[j];
+          own_close_when = up_when[j];
+          break;
         }
-        if (!prefix.empty()) {
-          PendingEv ev;
-          ev.type = 0;
-          ev.arg = static_cast<std::uint32_t>(est_pool_used_);
-          // The close-out timer beats the closing record iff the record's
-          // timestamp has reached the timer's (the oracle pops due timers
-          // before processing any record).
-          if (own_close_when < f.est_close_ns) {
-            ev.when_ns = own_close_when;
-            ev.row = own_close;
-            ev.tier = 1;  // applied while processing the closing record
-          } else {
-            ev.when_ns = f.est_close_ns;
-            ev.tier = 0;
-          }
-          push_ev(ev);
-          ++est_pool_used_;
+      }
+      if (!prefix.empty()) {
+        PendingEv ev;
+        ev.type = 0;
+        ev.arg = static_cast<std::uint32_t>(est_pool_used_);
+        // The close-out timer beats the closing record iff the record's
+        // timestamp has reached the timer's (the oracle pops due timers
+        // before processing any record).
+        if (own_close_when < f.est_close_ns) {
+          ev.when_ns = own_close_when;
+          ev.row = own_close;
+          ev.tier = 1;  // applied while processing the closing record
+        } else {
+          ev.when_ns = f.est_close_ns;
+          ev.tier = 0;
         }
+        push_ev(ev);
+        ++est_pool_used_;
       }
     } else if (f.kind == Kind::kGoogle) {
       // Establishment never gates a Google flow's monitoring.
       f.plan = PlanKind::kMonitor;
     } else {
       // Signature probe against the signature published right now — the
-      // snapshot semantics of the oracle, which copies it at flow creation.
+      // snapshot semantics of RecognitionCore::open_flow.
       f.plan = PlanKind::kSkip;
-      const auto& sig = learn_published_;
+      const auto& sig = core_.learner().signature();
       std::size_t idx = 0;
       for (std::uint32_t j = first; j < last; ++j) {
         if (up_tls[j] == 0) continue;
@@ -408,8 +345,8 @@ void BatchReplayer::run(const ColumnBatch& b, BatchReplayResult& out) {
     std::int64_t last_up = kNeverUpNs;
     if (f.plan == PlanKind::kAvsEst) {
       // Skip the establishment exemption: everything inside the window, plus
-      // datagrams in the gap before the close-out timer (the oracle's
-      // monitor() drops them — establishment is not done yet). The first TLS
+      // datagrams in the gap before the close-out timer (the core passes
+      // them through — establishment is not done yet). The first TLS
       // record past the window, or any record past the timer, is monitored.
       while (j < end) {
         if (up_when[j] - f.created_ns > est_window_ns &&
@@ -444,13 +381,9 @@ void BatchReplayer::run(const ColumnBatch& b, BatchReplayResult& out) {
       // The classify-timeout timer fires before any record that shares or
       // passes its timestamp (inclusive, like the oracle's deadline pop).
       if (now >= cls_deadline) [[unlikely]] {
-        // open_sp is only null here if now == kNoDeadlineNs == INT64_MAX, a
-        // degenerate timestamp a trace can technically carry.
-        if (open_sp != nullptr) {
-          open_sp->cls = classifier.finalize();
-          open_sp->rule = classifier.matched_rule();
-          open_sp = nullptr;
-        }
+        open_sp->cls = classifier.finalize();
+        open_sp->rule = classifier.matched_rule();
+        open_sp = nullptr;
         cls_deadline = kNoDeadlineNs;
       }
       if (len == hb) [[unlikely]] {

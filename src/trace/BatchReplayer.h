@@ -9,17 +9,18 @@
 
 /// \file BatchReplayer.h
 /// Columnar offline recognizer: the same recognition semantics as
-/// trace::Replayer (the per-record equivalence oracle, kept compiled like
-/// guard::legacy::WindowScanClassifier), restructured around the SoA columns
-/// of a ColumnBatch into two passes:
+/// trace::Replayer — the per-record equivalence oracle, which drives
+/// guard::RecognitionCore exactly as the live guard does — restructured
+/// around the SoA columns of a ColumnBatch into two passes:
 ///
 ///   * pass A — control plane, in stream order: DNS answers, flow begins,
 ///     establishment close-outs and signature-probe adoptions. These are the
 ///     only events that couple flows to each other (the AVS/Google IPs, the
 ///     signature learner's window, the published-signature snapshot a probe
-///     matches against); they are sparse, so a tiny pending-event heap keyed
-///     by (record row, deadline-before-record, FIFO seq) reproduces the
-///     oracle's timer-vs-record interleaving exactly;
+///     matches against), and they act on a RecognitionCore's address
+///     tracking and SignatureLearner; they are sparse, so a tiny
+///     pending-event heap keyed by (record row, deadline-before-record, FIFO
+///     seq) reproduces the oracle's timer-vs-record interleaving exactly;
 ///   * pass B — data plane, flow-major: each flow's upstream records are
 ///     read sequentially from the decoder's postings (`up_offsets`/`up_*`),
 ///     so the idle clock, heartbeat filter, spike state and classifier DFA
@@ -103,7 +104,8 @@ class BatchReplayer {
   struct PendingEv;
   struct SpikeRef;
 
-  ReplayOptions opts_;
+  /// Tracked addresses and the signature learner; reset by every run().
+  guard::RecognitionCore core_;
 
   // Pooled scratch, reused across runs (see .cpp).
   std::vector<FlowPlan> flows_;
@@ -112,14 +114,6 @@ class BatchReplayer {
   std::vector<SpikeRef> spike_order_;
   std::vector<std::vector<std::uint32_t>> est_pool_;
   std::size_t est_pool_used_{0};
-
-  // Allocation-free mirror of guard::SignatureLearner (same algorithm and
-  // defaults; the equivalence suite pins it to the oracle's learner).
-  std::array<std::vector<std::uint32_t>, 8> learn_window_;
-  std::size_t learn_head_{0};
-  std::size_t learn_count_{0};
-  std::vector<std::uint32_t> learn_published_;
-  std::vector<std::uint32_t> learn_scratch_;
 };
 
 }  // namespace vg::trace

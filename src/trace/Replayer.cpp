@@ -3,41 +3,19 @@
 #include <cstddef>
 #include <queue>
 
-#include "voiceguard/SignatureLearner.h"
-
 namespace vg::trace {
 
 namespace {
 
-enum class Kind { kUnmonitored, kAvs, kGoogle };
+using guard::RecognitionCore;
 
-struct FlowState {
-  std::uint64_t flow_id{0};
-  bool udp{false};
-  Kind kind{Kind::kUnmonitored};
-  net::IpAddress flow_dst{};
-  sim::TimePoint created{};
-  bool establishment_done{false};
-  std::vector<std::uint32_t> est_prefix;  // DNS-identified AVS flows only
-  guard::SignatureMatcher sig;
-  bool has_upstream{false};
-  sim::TimePoint last_upstream{};
-  guard::SpikeClassifier classifier;
-  bool spike_open{false};
-  std::uint64_t spike_gen{0};
-  int spike_index{-1};
-
-  explicit FlowState(std::vector<std::uint32_t> signature)
-      : sig(std::move(signature)) {}
-};
-
-/// A pending timer, mirroring the two sim().after() calls in GuardBox: the
-/// classify timeout of an open spike and the establishment close-out of a
-/// DNS-identified AVS flow. FIFO on equal timestamps, like the EventQueue.
+/// A deadline the core asked for: the classify timeout of spike `gen`, or a
+/// flow's establishment close-out. FIFO on equal times, like the live
+/// EventQueue.
 struct Deadline {
   sim::TimePoint when;
   std::size_t flow{0};
-  std::uint64_t gen{0};  // spike deadlines: matched against spike_gen
+  std::uint64_t gen{0};
   bool establishment{false};
   std::uint64_t seq{0};
 };
@@ -56,185 +34,50 @@ ReplayResult Replayer::run(const TraceReader& trace) const {
   out.frames = trace.records().size();
   out.end_time = trace.end_time();
 
-  guard::SignatureLearner learner;
-  learner.seed(opts_.avs_signature);
-  net::IpAddress avs_ip{};
-  net::IpAddress google_ip{};
-  std::vector<FlowState> flows;
+  RecognitionCore core{{opts_.mode, /*adaptive_signatures=*/true}};
+  std::vector<RecognitionCore::Flow> flows;
   flows.reserve(trace.flows().size());
   std::priority_queue<Deadline, std::vector<Deadline>, DeadlineLater> deadlines;
   std::uint64_t seq = 0;
 
-  const auto classify_destination = [&](net::IpAddress dst) {
-    if (!avs_ip.is_unspecified() && dst == avs_ip) return Kind::kAvs;
-    if (!google_ip.is_unspecified() && dst == google_ip) return Kind::kGoogle;
-    return Kind::kUnmonitored;
-  };
-
-  const auto settle = [&](FlowState& f, guard::SpikeClass cls,
-                          guard::MatchedRule rule) {
-    out.spikes[static_cast<std::size_t>(f.spike_index)].cls = cls;
-    out.spikes[static_cast<std::size_t>(f.spike_index)].rule = rule;
-    f.spike_open = false;
-  };
-
-  const auto finish_establishment = [&](FlowState& f) {
-    if (f.establishment_done) return;
-    f.establishment_done = true;
-    if (f.kind == Kind::kAvs && opts_.adaptive_signatures &&
-        !f.est_prefix.empty()) {
-      learner.observe(f.est_prefix);
-    }
-  };
-
-  const auto run_deadlines_until = [&](sim::TimePoint now) {
+  const auto fire_until = [&](sim::TimePoint now) {
     while (!deadlines.empty() && deadlines.top().when <= now) {
       const Deadline d = deadlines.top();
       deadlines.pop();
-      FlowState& f = flows[d.flow];
+      RecognitionCore::Flow& f = flows[d.flow];
       if (d.establishment) {
-        finish_establishment(f);
-      } else if (f.spike_open && f.spike_gen == d.gen) {
-        settle(f, f.classifier.finalize(), f.classifier.matched_rule());
+        core.close_establishment(f);
+      } else if (core.classify_deadline(f, d.gen, out.spikes)) {
+        RecognitionCore::close_spike(f);
       }
-    }
-  };
-
-  // GuardBox::maybe_adopt_avs_ip, minus the sim. TCP upstream records only.
-  const auto adopt = [&](FlowState& f, std::uint32_t len, sim::TimePoint now) {
-    if (f.establishment_done) return;
-    const bool in_window = (now - f.created) <= opts_.establishment_window;
-    if (f.kind == Kind::kAvs) {
-      if (in_window) {
-        f.est_prefix.push_back(len);
-        return;
-      }
-      finish_establishment(f);
-      return;
-    }
-    if (f.kind == Kind::kGoogle) {
-      f.establishment_done = true;
-      return;
-    }
-    if (!in_window) {
-      f.establishment_done = true;
-      return;
-    }
-    switch (f.sig.feed(len)) {
-      case guard::SignatureMatcher::State::kMatched:
-        f.kind = Kind::kAvs;
-        f.establishment_done = true;
-        f.last_upstream = now;
-        f.has_upstream = true;
-        if (avs_ip != f.flow_dst) {
-          avs_ip = f.flow_dst;
-          ++out.avs_signature_updates;
-        }
-        break;
-      case guard::SignatureMatcher::State::kFailed:
-        f.establishment_done = true;
-        break;
-      case guard::SignatureMatcher::State::kMatching:
-        break;
-    }
-  };
-
-  // GuardBox::monitor_upstream, with holds collapsed: replay has nothing to
-  // forward, so a flow is either idle or inside an undecided spike.
-  const auto monitor = [&](std::size_t flow_index, std::uint32_t len,
-                           sim::TimePoint now) {
-    FlowState& f = flows[flow_index];
-    const bool in_establishment =
-        !f.udp && f.kind == Kind::kAvs && !f.establishment_done;
-    if (f.kind == Kind::kUnmonitored || in_establishment) return;
-
-    if (f.kind == Kind::kAvs && len == opts_.heartbeat_len) {
-      ++out.heartbeats;  // never starts a spike, never resets the idle clock
-      return;
-    }
-
-    if (f.spike_open) {
-      f.last_upstream = now;
-      ReplaySpike& sp = out.spikes[static_cast<std::size_t>(f.spike_index)];
-      if (sp.prefix.size() < guard::rules::kSpikePrefixKeep) {
-        sp.prefix.push_back(len);
-      }
-      if (const auto v = f.classifier.feed(len)) {
-        settle(f, *v, f.classifier.matched_rule());
-      }
-      return;
-    }
-
-    const bool idle = !f.has_upstream ||
-                      (now - f.last_upstream) >= opts_.spike_idle_gap;
-    f.last_upstream = now;
-    f.has_upstream = true;
-    if (!idle) return;  // continuation of an already-classified spike
-
-    ++f.spike_gen;
-    f.classifier = guard::SpikeClassifier{};
-    ReplaySpike sp;
-    sp.flow_id = f.flow_id;
-    sp.udp = f.udp;
-    sp.start = now;
-    sp.prefix.push_back(len);
-    out.spikes.push_back(std::move(sp));
-    f.spike_index = static_cast<int>(out.spikes.size()) - 1;
-    f.spike_open = true;
-
-    if (opts_.mode != guard::GuardMode::kMonitor &&
-        (f.kind == Kind::kGoogle || opts_.mode == guard::GuardMode::kNaive)) {
-      // Live, these spikes skip the classifier and go straight to the
-      // decision module; the verdict itself is not wire-observable.
-      settle(f, guard::SpikeClass::kCommand, guard::MatchedRule::kNone);
-      return;
-    }
-
-    deadlines.push(
-        {now + opts_.classify_timeout, flow_index, f.spike_gen, false, seq++});
-    if (const auto v = f.classifier.feed(len)) {
-      settle(f, *v, f.classifier.matched_rule());
     }
   };
 
   for (const TraceRecord& rec : trace.records()) {
-    // The live classify-timeout timer is enqueued before any record that
-    // shares its timestamp, so deadlines fire first (inclusive).
-    run_deadlines_until(rec.when);
+    // A deadline is enqueued before any record that shares its timestamp,
+    // so deadlines fire first (inclusive).
+    fire_until(rec.when);
 
     switch (rec.kind) {
       case FrameKind::kFlowBegin: {
         const TraceFlow& tf = trace.flows()[static_cast<std::size_t>(rec.flow)];
-        FlowState f{learner.signature()};
-        f.flow_id = static_cast<std::uint64_t>(rec.flow) + 1;
-        f.udp = tf.protocol == net::Protocol::kUdp;
-        f.flow_dst = tf.server.ip;
-        f.kind = classify_destination(f.flow_dst);
-        f.created = rec.when;
-        if (f.udp) f.establishment_done = true;  // no exempted QUIC prefix
+        flows.push_back(core.open_flow(static_cast<std::uint64_t>(rec.flow) + 1,
+                                       tf.protocol == net::Protocol::kUdp,
+                                       tf.server.ip, rec.when));
         ++out.flows;
-        if (!f.udp && f.kind == Kind::kAvs) {
-          // Mirror of the finish_establishment timer GuardBox arms at accept.
-          deadlines.push({rec.when + opts_.establishment_window +
-                              sim::milliseconds(100),
-                          flows.size(), 0, true, seq++});
+        if (const auto t = RecognitionCore::close_out_at(flows.back())) {
+          deadlines.push({*t, flows.size() - 1, 0, true, seq++});
         }
-        flows.push_back(std::move(f));
         break;
       }
 
-      case FrameKind::kDnsAnswer: {
+      case FrameKind::kDnsAnswer:
         ++out.dns_answers;
-        if (rec.domain_code == kDomainAvs) {
-          if (avs_ip != rec.dns_answer) {
-            avs_ip = rec.dns_answer;
-            ++out.avs_dns_updates;
-          }
-        } else {
-          google_ip = rec.dns_answer;
-        }
+        out.avs_dns_updates += core.on_dns(rec.domain_code == kDomainAvs
+                                               ? guard::VoiceDomain::kAvs
+                                               : guard::VoiceDomain::kGoogle,
+                                           rec.dns_answer);
         break;
-      }
 
       case FrameKind::kTlsRecord:
       case FrameKind::kDatagram: {
@@ -242,31 +85,40 @@ ReplayResult Replayer::run(const TraceReader& trace) const {
         ++(tls ? out.tls_records : out.datagrams);
         if (!rec.upstream) break;  // downstream is observed, never classified
         const std::size_t idx = static_cast<std::size_t>(rec.flow);
-        if (tls && !flows[idx].udp) adopt(flows[idx], rec.length, rec.when);
-        monitor(idx, rec.length, rec.when);
+        RecognitionCore::Flow& f = flows[idx];
+        const RecognitionCore::Step step =
+            core.upstream(f, rec.when, rec.length, tls, out.spikes);
+        if (step == 0) break;
+        if (step & RecognitionCore::kHeartbeat) ++out.heartbeats;
+        if (step & RecognitionCore::kAdopted) ++out.avs_signature_updates;
+        if (step & RecognitionCore::kArmClassify) {
+          deadlines.push({rec.when + guard::rules::kClassifyTimeout, idx,
+                          f.spike_gen, false, seq++});
+        }
+        // The verdict itself is not wire-observable: a decided spike closes.
+        if (step & RecognitionCore::kDecided) RecognitionCore::close_spike(f);
         break;
       }
 
-      case FrameKind::kFault: {
+      case FrameKind::kFault:
         // Annotations only: injected faults are visible in the trace but are
         // not an input to recognition.
         ++out.fault_frames;
         break;
-      }
     }
   }
 
   // The live simulation keeps running after the last tapped packet, so every
-  // armed timer still fires; drain them all.
-  while (!deadlines.empty()) {
-    run_deadlines_until(deadlines.top().when);
-  }
+  // armed deadline still fires.
+  while (!deadlines.empty()) fire_until(deadlines.top().when);
 
-  for (const FlowState& f : flows) {
+  for (const RecognitionCore::Flow& f : flows) {
     switch (f.kind) {
-      case Kind::kAvs: ++out.avs_flows; break;
-      case Kind::kGoogle: ++out.google_flows; break;
-      case Kind::kUnmonitored: ++out.unmonitored_flows; break;
+      case RecognitionCore::Destination::kAvs: ++out.avs_flows; break;
+      case RecognitionCore::Destination::kGoogle: ++out.google_flows; break;
+      case RecognitionCore::Destination::kUnmonitored:
+        ++out.unmonitored_flows;
+        break;
     }
   }
   for (const ReplaySpike& sp : out.spikes) {

@@ -4,48 +4,33 @@
 #include <vector>
 
 #include "trace/TraceReader.h"
-#include "voiceguard/GuardBox.h"
-#include "voiceguard/Recognizer.h"
+#include "voiceguard/RecognitionCore.h"
 
 /// \file Replayer.h
-/// Offline recognizer harness: drives the Voice Command Traffic Recognition
-/// logic (AVS-IP tracking, establishment exemption, signature adoption,
-/// heartbeat filtering, spike segmentation and the phase-1/phase-2
-/// classifier) directly from a `.vgt` trace, with no Simulation, network
-/// stack or decision module involved.
+/// Offline recognizer harness: drives guard::RecognitionCore — the code the
+/// live GuardBox runs — from a `.vgt` trace, with no Simulation, network
+/// stack or decision module involved. The driver feeds the core each DNS
+/// answer, flow begin and upstream record, and fires the deadlines the core
+/// asks for from a heap that is FIFO on equal times, exactly as the live
+/// event queue orders them.
 ///
-/// Replay mirrors GuardBox's *monitor-mode* semantics exactly: on a trace
-/// captured in kMonitor mode, the spikes returned here are identical (flow,
-/// start time, prefix, class, matched rule) to the live run's SpikeEvents —
-/// the golden-trace regression tests assert this. kVoiceGuard/kNaive replay
-/// is an approximation: decision-module verdict latency is not part of the
-/// wire trace, so forced-kCommand spikes settle instantly instead of waiting
-/// for a verdict, which can segment follow-up traffic differently than live.
+/// On a trace captured in kMonitor mode the spikes returned here are
+/// identical (flow, start time, prefix, class, matched rule) to the live
+/// run's SpikeEvents — the golden-trace regression tests assert this.
+/// kVoiceGuard/kNaive replay is an approximation: decision-module verdict
+/// latency is not part of the wire trace, so the driver closes every spike
+/// at classification, where the live guard keeps a command spike open until
+/// its verdict (and opens no new spike on that flow meanwhile).
 
 namespace vg::trace {
 
 struct ReplayOptions {
   guard::GuardMode mode = guard::GuardMode::kMonitor;
-  /// These must match the GuardBox options used at capture time.
-  std::uint32_t heartbeat_len = 41;
-  sim::Duration spike_idle_gap = sim::seconds(3);
-  sim::Duration classify_timeout = sim::milliseconds(300);
-  sim::Duration establishment_window = sim::from_seconds(1.5);
-  bool adaptive_signatures = true;
-  std::vector<std::uint32_t> avs_signature = guard::GuardBox::avs_signature();
 };
 
-/// One spike recognized during replay. Field-for-field comparable with the
-/// recognition half of guard::SpikeEvent.
-struct ReplaySpike {
-  std::uint64_t flow_id{0};  // trace flow index + 1 (== live flow id)
-  bool udp{false};
-  sim::TimePoint start;
-  /// First packet lengths (<= guard::rules::kSpikePrefixKeep kept).
-  std::vector<std::uint32_t> prefix;
-  guard::SpikeClass cls{guard::SpikeClass::kUnknown};
-  guard::MatchedRule rule{guard::MatchedRule::kNone};
-};
+/// One spike recognized during replay: the recognition half of
+/// guard::SpikeEvent. flow_id is the trace flow index + 1 (== live flow id).
+using ReplaySpike = guard::Spike;
 
 struct ReplayResult {
   std::vector<ReplaySpike> spikes;

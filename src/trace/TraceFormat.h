@@ -90,6 +90,21 @@ enum class FrameKind : std::uint8_t {
   kFault = 4,
 };
 
+/// Latest timestamp a trace may carry: 2^62 ns, about 146 years of
+/// simulated time. Readers and the writer all enforce it, so every deadline a
+/// recognizer arms after a trace time — and BatchReplayer's INT64_MIN/4 idle
+/// sentinel subtracted from one — stays far inside int64.
+inline constexpr std::int64_t kMaxTraceNs = std::int64_t{1} << 62;
+
+/// The timestamp \p dt after \p last_ns (0 <= last_ns <= kMaxTraceNs), or a
+/// TraceError if it lies past kMaxTraceNs.
+inline std::int64_t checked_advance(std::int64_t last_ns, std::uint64_t dt) {
+  if (dt > static_cast<std::uint64_t>(kMaxTraceNs - last_ns)) {
+    throw TraceError{"frame timestamp past the 2^62 ns trace time cap"};
+  }
+  return last_ns + static_cast<std::int64_t>(dt);
+}
+
 /// Domain codes for DNS-answer frames.
 inline constexpr std::uint8_t kDomainAvs = 0;
 inline constexpr std::uint8_t kDomainGoogle = 1;

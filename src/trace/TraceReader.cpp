@@ -3,21 +3,8 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <limits>
 
 namespace vg::trace {
-
-namespace {
-
-std::int64_t checked_advance(std::int64_t last_ns, std::uint64_t dt) {
-  if (dt > static_cast<std::uint64_t>(
-               std::numeric_limits<std::int64_t>::max() - last_ns)) {
-    throw TraceError{"frame timestamp overflows"};
-  }
-  return last_ns + static_cast<std::int64_t>(dt);
-}
-
-}  // namespace
 
 TraceReader TraceReader::parse(std::span<const std::uint8_t> bytes) {
   ByteCursor c{bytes.data(), bytes.size()};

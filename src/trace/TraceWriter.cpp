@@ -18,6 +18,9 @@ TraceWriter::TraceWriter(Meta meta) : meta_(std::move(meta)) {
 std::uint64_t TraceWriter::delta_to(sim::TimePoint when) {
   if (finished_) throw TraceError{"TraceWriter: fed after finish()"};
   const std::int64_t ns = when.ns();
+  if (ns > kMaxTraceNs) {
+    throw TraceError{"TraceWriter: timestamp past the 2^62 ns trace time cap"};
+  }
   if (ns < last_ns_) {
     throw TraceError{"TraceWriter: timestamps must be non-decreasing"};
   }

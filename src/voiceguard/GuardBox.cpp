@@ -5,15 +5,6 @@
 
 namespace vg::guard {
 
-std::string to_string(GuardMode m) {
-  switch (m) {
-    case GuardMode::kVoiceGuard: return "voiceguard";
-    case GuardMode::kNaive: return "naive";
-    case GuardMode::kMonitor: return "monitor";
-  }
-  return "?";
-}
-
 std::string to_string(FailPolicy p) {
   switch (p) {
     case FailPolicy::kFailClosed: return "fail-closed";
@@ -32,19 +23,12 @@ std::string to_string(SpikeOutcome o) {
   return "?";
 }
 
-const std::vector<std::uint32_t>& GuardBox::avs_signature() {
-  // Measured packet-length sequence of an Echo Dot connecting to the AVS
-  // server (§IV-B1). Deliberately a defender-side copy: the guard knows this
-  // from measurement, not by sharing code with a speaker.
-  static const std::vector<std::uint32_t> kSig = {
-      63, 33, 653, 131, 73, 131, 188, 73, 131, 73, 131, 73, 131, 77, 33, 33};
-  return kSig;
-}
-
 GuardBox::GuardBox(net::Network& net, std::string name,
                    DecisionModule& decision, Options opts)
-    : net::MiddleBox(net, std::move(name)), decision_(decision), opts_(opts) {
-  learner_.seed(avs_signature());
+    : net::MiddleBox(net, std::move(name)),
+      decision_(decision),
+      opts_(opts),
+      core_({opts_.mode, opts_.adaptive_signatures}) {
   // The guard terminates TCP on both arms. The LAN stack impersonates
   // whatever server the speaker talks to; the WAN stack impersonates the
   // speaker toward the real server. IPs on the stacks are nominal.
@@ -60,27 +44,17 @@ GuardBox::GuardBox(net::Network& net, std::string name,
       [this](net::TcpConnection& c) { accept_lan_connection(c); });
 }
 
-GuardBox::Monitor::Kind GuardBox::classify_destination(
-    net::IpAddress dst) const {
-  if (!avs_ip_.is_unspecified() && dst == avs_ip_) return Monitor::Kind::kAvs;
-  if (!google_ip_.is_unspecified() && dst == google_ip_) {
-    return Monitor::Kind::kGoogle;
-  }
-  return Monitor::Kind::kUnmonitored;
-}
-
 void GuardBox::on_dns_response(const net::DnsMessage& dns) {
   if (dns.answers.empty()) return;
   if (tap_ != nullptr) tap_->on_dns(dns.qname, dns.answers.front(), sim().now());
   if (dns.qname == opts_.avs_domain) {
-    if (avs_ip_ != dns.answers.front()) {
-      avs_ip_ = dns.answers.front();
+    if (core_.on_dns(VoiceDomain::kAvs, dns.answers.front())) {
       ++avs_dns_updates_;
       sim().log(sim::LogLevel::kInfo, name(),
-                "AVS IP from DNS: " + avs_ip_.to_string());
+                "AVS IP from DNS: " + core_.avs_ip().to_string());
     }
   } else if (dns.qname == opts_.google_domain) {
-    google_ip_ = dns.answers.front();
+    core_.on_dns(VoiceDomain::kGoogle, dns.answers.front());
   }
 }
 
@@ -111,14 +85,9 @@ bool GuardBox::on_lan_packet(net::Packet& p) {
     const auto key = net::FlowKey::canonical(p.src, p.dst);
     auto it = udp_monitors_.find(key);
     if (it == udp_monitors_.end()) {
-      auto m = std::make_shared<Monitor>(learner_.signature());
-      m->flow_id = ++flow_count_;
-      m->udp = true;
-      m->kind = classify_destination(p.dst.ip);
-      m->flow_dst = p.dst.ip;
+      auto m = std::make_shared<Monitor>(core_.open_flow(
+          ++flow_count_, /*udp=*/true, p.dst.ip, sim().now()));
       m->speaker_ip = p.src.ip;
-      m->created = sim().now();
-      m->establishment_done = true;  // QUIC flows have no exempted prefix
       if (tap_ != nullptr) {
         m->tap_flow =
             tap_->on_flow(net::Protocol::kUdp, p.src, p.dst, sim().now());
@@ -132,9 +101,10 @@ bool GuardBox::on_lan_packet(net::Packet& p) {
     }
     // Consumed here: the datagram moves into the forward closure instead of
     // being copied (records + tag strings) for every monitored QUIC packet.
-    monitor_upstream(m, len, [this, pkt = std::move(p)]() mutable {
-      send_to_wan(std::move(pkt));
-    });
+    monitor_upstream(m, len, /*tls=*/false,
+                     [this, pkt = std::move(p)]() mutable {
+                       send_to_wan(std::move(pkt));
+                     });
     return true;
   }
   // DNS queries and anything else pass through untouched.
@@ -168,12 +138,9 @@ void GuardBox::accept_lan_connection(net::TcpConnection& lan_conn) {
   auto flow = std::make_shared<ProxiedFlow>();
   flow->id = ++flow_count_;
   flow->lan = &lan_conn;
-  flow->mon = std::make_shared<Monitor>(learner_.signature());
-  flow->mon->flow_id = flow->id;
-  flow->mon->kind = classify_destination(lan_conn.local().ip);
-  flow->mon->flow_dst = lan_conn.local().ip;
+  flow->mon = std::make_shared<Monitor>(core_.open_flow(
+      flow->id, /*udp=*/false, lan_conn.local().ip, sim().now()));
   flow->mon->speaker_ip = lan_conn.remote().ip;
-  flow->mon->created = sim().now();
   flows_by_lan_[&lan_conn] = flow;
   const std::shared_ptr<Monitor> mon = flow->mon;
   if (tap_ != nullptr) {
@@ -181,12 +148,12 @@ void GuardBox::accept_lan_connection(net::TcpConnection& lan_conn) {
                                   lan_conn.local(), sim().now());
   }
 
-  if (mon->kind == Monitor::Kind::kAvs) {
-    // A DNS-identified AVS connection: once its establishment window closes,
-    // feed its packet-length prefix to the signature learner even if the
-    // session then goes quiet.
-    sim().after(opts_.establishment_window + sim::milliseconds(100),
-                [this, mon] { finish_establishment(*mon); });
+  if (const auto t = RecognitionCore::close_out_at(mon->rec)) {
+    // A DNS-identified AVS connection hands the learner its establishment
+    // prefix even if the session goes quiet inside the window.
+    sim().at(*t, [this, mon] {
+      if (core_.close_establishment(mon->rec)) log_relearned();
+    });
   }
 
   // LAN side: speaker <-> guard (guard impersonates the server endpoint).
@@ -196,31 +163,25 @@ void GuardBox::accept_lan_connection(net::TcpConnection& lan_conn) {
       tap_->on_tls_record(mon->tap_flow, /*upstream=*/true, r.type, r.length,
                           sim().now());
     }
-    maybe_adopt_avs_ip(*mon, r.length);
     net::TlsRecord copy = r;
-    monitor_upstream(mon, r.length, [flow, copy = std::move(copy)]() mutable {
-      if (flow->wan != nullptr) flow->wan->send_record(std::move(copy));
-    });
+    monitor_upstream(mon, r.length, /*tls=*/true,
+                     [flow, copy = std::move(copy)]() mutable {
+                       if (flow->wan != nullptr) {
+                         flow->wan->send_record(std::move(copy));
+                       }
+                     });
   };
   lan_cbs.on_closed = [this, flow, mon](net::TcpCloseReason reason) {
     flow->lan_closed = true;
     // A dead speaker connection has nothing left to release, and any
-    // outstanding verdict no longer applies.
-    if (mon->state == Monitor::State::kObserving && mon->event_index >= 0 &&
-        events_[mon->event_index].outcome == SpikeOutcome::kPending) {
-      // Conclude the observation the way the classify timer would have: the
-      // offline replayer finalizes on its mirrored deadline and must agree.
-      events_[mon->event_index].cls = mon->classifier.finalize();
-      events_[mon->event_index].rule = mon->classifier.matched_rule();
-    }
+    // outstanding verdict no longer applies. An observation still open ends
+    // as the classify timer would have ended it: undecided, kUnknown.
     terminalize(*mon,
-                mon->state == Monitor::State::kObserving
-                    ? SpikeOutcome::kObserved
-                    : SpikeOutcome::kDropped,
+                opts_.mode == GuardMode::kMonitor ? SpikeOutcome::kObserved
+                                                  : SpikeOutcome::kDropped,
                 /*forced=*/false);
     drop(*mon);
-    ++mon->spike_gen;
-    mon->state = Monitor::State::kPass;
+    RecognitionCore::close_spike(mon->rec);
     if (flow->lan != nullptr) {
       flows_by_lan_.erase(flow->lan);
       flow->lan = nullptr;
@@ -252,12 +213,11 @@ void GuardBox::accept_lan_connection(net::TcpConnection& lan_conn) {
     // In monitor mode nothing is held, and speaker-side records remain
     // observable until the LAN arm closes moments later — so a mid-spike
     // server close must not cut the observation short (the trace carries no
-    // close events, so the offline replayer cannot mirror such a cut).
-    if (mon->state != Monitor::State::kObserving) {
+    // close events, so the offline replayer cannot see such a cut).
+    if (opts_.mode != GuardMode::kMonitor) {
       terminalize(*mon, SpikeOutcome::kDropped, /*forced=*/false);
       drop(*mon);
-      ++mon->spike_gen;
-      mon->state = Monitor::State::kPass;
+      RecognitionCore::close_spike(mon->rec);
     }
     if (flow->wan != nullptr) {
       flows_by_wan_.erase(flow->wan);
@@ -278,239 +238,73 @@ void GuardBox::accept_lan_connection(net::TcpConnection& lan_conn) {
 }
 
 // ---------------------------------------------------------------------------
-// Spike monitoring
+// Hold / verdict machine around the recognition core
 // ---------------------------------------------------------------------------
 
-void GuardBox::finish_establishment(Monitor& m) {
-  if (m.establishment_done) return;
-  m.establishment_done = true;
-  if (m.kind == Monitor::Kind::kAvs && opts_.adaptive_signatures &&
-      !m.est_prefix.empty()) {
-    if (learner_.observe(m.est_prefix)) {
-      sim().log(sim::LogLevel::kInfo, name(),
-                "AVS establishment signature re-learned (" +
-                    std::to_string(learner_.signature().size()) + " packets)");
-    }
-  }
-}
-
-void GuardBox::maybe_adopt_avs_ip(Monitor& m, std::uint32_t len) {
-  if (m.udp || m.establishment_done) return;
-  ++m.upstream_records;
-  const bool in_window =
-      (sim().now() - m.created) <= opts_.establishment_window;
-
-  if (m.kind == Monitor::Kind::kAvs) {
-    // DNS-identified AVS flow: its establishment prefix is a labeled example
-    // for the signature learner.
-    if (in_window) {
-      m.est_prefix.push_back(len);
-      return;
-    }
-    // First record past the window: close out establishment and let the
-    // spike logic judge this record like any other (it may well be the first
-    // packet of a command spike).
-    finish_establishment(m);
-    return;
-  }
-  if (m.kind == Monitor::Kind::kGoogle) {
-    m.establishment_done = true;  // on-demand flows are monitored immediately
-    return;
-  }
-  // Unknown destination: try the (possibly learned) signature. A match means
-  // the AVS server moved to a new IP without a visible DNS query (§IV-B1).
-  if (!in_window) {
-    m.establishment_done = true;  // too slow to be an establishment burst
-    return;
-  }
-  switch (m.sig.feed(len)) {
-    case SignatureMatcher::State::kMatched:
-      m.kind = Monitor::Kind::kAvs;
-      m.establishment_done = true;
-      m.last_upstream = sim().now();
-      m.has_upstream = true;
-      if (avs_ip_ != m.flow_dst) {
-        avs_ip_ = m.flow_dst;
-        ++avs_signature_updates_;
-        sim().log(sim::LogLevel::kInfo, name(),
-                  "AVS IP from signature: " + avs_ip_.to_string());
-      }
-      break;
-    case SignatureMatcher::State::kFailed:
-      m.establishment_done = true;  // definitely not AVS; stays unmonitored
-      break;
-    case SignatureMatcher::State::kMatching:
-      break;
-  }
+void GuardBox::log_relearned() {
+  sim().log(sim::LogLevel::kInfo, name(),
+            "AVS establishment signature re-learned (" +
+                std::to_string(core_.learner().signature().size()) +
+                " packets)");
 }
 
 void GuardBox::monitor_upstream(const std::shared_ptr<Monitor>& m,
-                                std::uint32_t len,
+                                std::uint32_t len, bool tls,
                                 std::function<void()> forward) {
   Monitor& mon = *m;
+  using Core = RecognitionCore;
+  const Core::Step step =
+      core_.upstream(mon.rec, sim().now(), len, tls, events_);
+  if (step & Core::kRelearned) log_relearned();
+  if (step & Core::kAdopted) {
+    ++avs_signature_updates_;
+    sim().log(sim::LogLevel::kInfo, name(),
+              "AVS IP from signature: " + core_.avs_ip().to_string());
+  }
+  if (step & Core::kArmClassify) {
+    const std::uint64_t gen = mon.rec.spike_gen;
+    sim().after(rules::kClassifyTimeout,
+                [this, m, gen] { on_classify_timeout(m, gen); });
+  }
 
-  // Unmonitored flows, and monitored flows still in their establishment
-  // prefix, pass straight through.
-  const bool in_establishment =
-      !mon.udp && mon.kind == Monitor::Kind::kAvs && !mon.establishment_done;
-  if (mon.kind == Monitor::Kind::kUnmonitored || in_establishment) {
+  // Monitor mode records and classifies, but never holds (detection-only
+  // deployments, and the Table I bench).
+  if (!(step & Core::kInSpike) || opts_.mode == GuardMode::kMonitor) {
+    if (step & Core::kDecided) settle_classification(m);
     forward();
     return;
   }
 
-  // Heartbeats neither start spikes nor reset the idle clock ("if we ignore
-  // the heartbeat traffic, there is no traffic"), but inside a hold they are
-  // buffered to preserve stream order.
-  const bool heartbeat =
-      mon.kind == Monitor::Kind::kAvs && len == opts_.heartbeat_len;
-
-  switch (mon.state) {
-    case Monitor::State::kPass: {
-      if (heartbeat) {
-        forward();
-        return;
-      }
-      const bool idle =
-          !mon.has_upstream ||
-          (sim().now() - mon.last_upstream) >= opts_.spike_idle_gap;
-      mon.last_upstream = sim().now();
-      mon.has_upstream = true;
-      if (!idle) {
-        forward();  // continuation of a spike already classified benign
-        return;
-      }
-      start_spike(m);
-      if (mon.event_index >= 0 && events_[mon.event_index].prefix.size() < rules::kSpikePrefixKeep) {
-        events_[mon.event_index].prefix.push_back(len);
-      }
-      if (mon.state == Monitor::State::kObserving) {
-        // Monitor-only mode: recognized and classified, never held.
-        if (auto v = mon.classifier.feed(len)) {
-          if (mon.event_index >= 0) {
-            events_[mon.event_index].cls = *v;
-            events_[mon.event_index].rule = mon.classifier.matched_rule();
-          }
-          terminalize(mon, SpikeOutcome::kObserved, /*forced=*/false);
-          mon.state = Monitor::State::kPass;
-        }
-        forward();
-        return;
-      }
-      mon.held.push_back(std::move(forward));
-      mon.first_held = sim().now();
-      events_[mon.event_index].held = true;
-      if (mon.state == Monitor::State::kClassifying) {
-        if (auto v = mon.classifier.feed(len)) {
-          settle_classification(m, *v);
-        }
-      }
-      enforce_hold_cap(m);
-      return;
-    }
-
-    case Monitor::State::kClassifying: {
-      if (!heartbeat) {
-        mon.last_upstream = sim().now();
-        if (mon.event_index >= 0 &&
-            events_[mon.event_index].prefix.size() < rules::kSpikePrefixKeep) {
-          events_[mon.event_index].prefix.push_back(len);
-        }
-      }
-      mon.held.push_back(std::move(forward));
-      if (!heartbeat) {
-        if (auto v = mon.classifier.feed(len)) settle_classification(m, *v);
-      }
-      enforce_hold_cap(m);
-      return;
-    }
-
-    case Monitor::State::kAwaitingVerdict: {
-      if (!heartbeat) mon.last_upstream = sim().now();
-      mon.held.push_back(std::move(forward));
-      enforce_hold_cap(m);
-      return;
-    }
-
-    case Monitor::State::kObserving: {
-      if (!heartbeat) {
-        mon.last_upstream = sim().now();
-        if (mon.event_index >= 0 &&
-            events_[mon.event_index].prefix.size() < rules::kSpikePrefixKeep) {
-          events_[mon.event_index].prefix.push_back(len);
-        }
-        if (auto v = mon.classifier.feed(len)) {
-          if (mon.event_index >= 0) {
-            events_[mon.event_index].cls = *v;
-            events_[mon.event_index].rule = mon.classifier.matched_rule();
-          }
-          terminalize(mon, SpikeOutcome::kObserved, /*forced=*/false);
-          mon.state = Monitor::State::kPass;
-        }
-      }
-      forward();
-      return;
-    }
+  // A new spike starts an empty hold queue. Google flows and naive mode skip
+  // the classifier: the spike is a command from its first record and is
+  // queried before that record is held.
+  const bool opened = (step & Core::kOpened) != 0;
+  const bool decided = (step & Core::kDecided) != 0;
+  const bool forced = opened && decided && !(step & Core::kArmClassify);
+  if (opened) mon.held.clear();
+  if (forced) query_decision(m);
+  mon.held.push_back(std::move(forward));
+  if (opened) {
+    mon.first_held = sim().now();
+    events_[mon.rec.spike].held = true;
   }
+  if (decided && !forced) settle_classification(m);
+  enforce_hold_cap(m);
 }
 
-void GuardBox::start_spike(const std::shared_ptr<Monitor>& m) {
+void GuardBox::on_classify_timeout(const std::shared_ptr<Monitor>& m,
+                                   std::uint64_t gen) {
+  if (core_.classify_deadline(m->rec, gen, events_)) settle_classification(m);
+}
+
+void GuardBox::settle_classification(const std::shared_ptr<Monitor>& m) {
   Monitor& mon = *m;
-  ++mon.spike_gen;
-  mon.classifier = SpikeClassifier{};
-  mon.held.clear();
-
-  SpikeEvent ev;
-  ev.flow_id = mon.flow_id;
-  ev.udp = mon.udp;
-  ev.start = sim().now();
-  events_.push_back(std::move(ev));
-  mon.event_index = static_cast<int>(events_.size()) - 1;
-
   if (opts_.mode == GuardMode::kMonitor) {
-    // Record and classify, but never hold (detection-only deployments, and
-    // the Table I bench).
-    mon.state = Monitor::State::kObserving;
-    const std::uint64_t ogen = mon.spike_gen;
-    sim().after(opts_.classify_timeout, [this, m, ogen] {
-      if (m->spike_gen != ogen || m->state != Monitor::State::kObserving) {
-        return;
-      }
-      if (m->event_index >= 0) {
-        events_[m->event_index].cls = m->classifier.finalize();
-        events_[m->event_index].rule = m->classifier.matched_rule();
-      }
-      terminalize(*m, SpikeOutcome::kObserved, /*forced=*/false);
-      m->state = Monitor::State::kPass;
-    });
+    terminalize(mon, SpikeOutcome::kObserved, /*forced=*/false);
+    RecognitionCore::close_spike(mon.rec);
     return;
   }
-
-  if (mon.kind == Monitor::Kind::kGoogle || opts_.mode == GuardMode::kNaive) {
-    // Google voice flows: every spike after idle is a command (§IV-B1).
-    // Naive mode: every spike after idle is *treated* as a command (Fig. 3).
-    events_[mon.event_index].cls = SpikeClass::kCommand;
-    mon.state = Monitor::State::kAwaitingVerdict;
-    query_decision(m);
-    return;
-  }
-
-  mon.state = Monitor::State::kClassifying;
-  const std::uint64_t gen = mon.spike_gen;
-  sim().after(opts_.classify_timeout, [this, m, gen] {
-    if (m->spike_gen != gen || m->state != Monitor::State::kClassifying) return;
-    settle_classification(m, m->classifier.finalize());
-  });
-}
-
-void GuardBox::settle_classification(const std::shared_ptr<Monitor>& m,
-                                     SpikeClass cls) {
-  Monitor& mon = *m;
-  if (mon.event_index >= 0) {
-    events_[mon.event_index].cls = cls;
-    events_[mon.event_index].rule = mon.classifier.matched_rule();
-  }
-  if (cls == SpikeClass::kCommand) {
-    mon.state = Monitor::State::kAwaitingVerdict;
+  if (events_[mon.rec.spike].cls == SpikeClass::kCommand) {
     query_decision(m);
     return;
   }
@@ -518,27 +312,22 @@ void GuardBox::settle_classification(const std::shared_ptr<Monitor>& m,
   // "negligible" cost of online classification.
   terminalize(mon, SpikeOutcome::kReleased, /*forced=*/false);
   flush(mon);
-  mon.state = Monitor::State::kPass;
+  RecognitionCore::close_spike(mon.rec);
 }
 
 void GuardBox::query_decision(const std::shared_ptr<Monitor>& m) {
   Monitor& mon = *m;
-  if (mon.event_index >= 0) events_[mon.event_index].queried = true;
-  const std::uint64_t gen = mon.spike_gen;
+  events_[mon.rec.spike].queried = true;
+  const std::uint64_t gen = mon.rec.spike_gen;
   decision_for(mon).query([this, m, gen](bool legit) {
     Monitor& mon2 = *m;
-    if (mon2.spike_gen != gen ||
-        mon2.state != Monitor::State::kAwaitingVerdict) {
-      return;  // flow died or was resolved meanwhile
-    }
-    if (mon2.event_index >= 0) {
-      SpikeEvent& ev = events_[mon2.event_index];
-      ev.verdict_time = sim().now();
-      ev.verdict_legit = legit;
-      ev.hold_seconds = (sim().now() - mon2.first_held).seconds();
-      ev.dropped = !legit;
-      ev.outcome = legit ? SpikeOutcome::kReleased : SpikeOutcome::kDropped;
-    }
+    if (!awaiting(mon2, gen)) return;  // flow died or was resolved meanwhile
+    SpikeEvent& ev = events_[mon2.rec.spike];
+    ev.verdict_time = sim().now();
+    ev.verdict_legit = legit;
+    ev.hold_seconds = (sim().now() - mon2.first_held).seconds();
+    ev.dropped = !legit;
+    ev.outcome = legit ? SpikeOutcome::kReleased : SpikeOutcome::kDropped;
     if (legit) {
       ++released_;
       flush(mon2);
@@ -546,24 +335,20 @@ void GuardBox::query_decision(const std::shared_ptr<Monitor>& m) {
       ++blocked_;
       sim().log(sim::LogLevel::kInfo, name(),
                 "malicious voice command blocked (flow " +
-                    std::to_string(mon2.flow_id) + ")");
+                    std::to_string(mon2.rec.id) + ")");
       drop(mon2);
     }
-    mon2.state = Monitor::State::kPass;
+    RecognitionCore::close_spike(mon2.rec);
   });
   // Degradation: never wait forever on a verdict. The timer is a no-op when
   // the decision module answers in time (the common case — its own device
   // timeout is far shorter than verdict_timeout).
-  if (opts_.verdict_timeout.ns() > 0 &&
-      m->spike_gen == gen && m->state == Monitor::State::kAwaitingVerdict) {
+  if (opts_.verdict_timeout.ns() > 0 && awaiting(mon, gen)) {
     sim().after(opts_.verdict_timeout, [this, m, gen] {
-      if (m->spike_gen != gen ||
-          m->state != Monitor::State::kAwaitingVerdict) {
-        return;
-      }
+      if (!awaiting(*m, gen)) return;
       const bool release = opts_.fail_policy == FailPolicy::kFailOpen;
       sim().log(sim::LogLevel::kWarn, name(),
-                "verdict timeout on flow " + std::to_string(m->flow_id) +
+                "verdict timeout on flow " + std::to_string(m->rec.id) +
                     " -> " + to_string(opts_.fail_policy));
       force_verdict(m, release);
     });
@@ -579,8 +364,8 @@ void GuardBox::flush(Monitor& m) {
 void GuardBox::drop(Monitor& m) { m.held.clear(); }
 
 void GuardBox::terminalize(Monitor& m, SpikeOutcome outcome, bool forced) {
-  if (m.event_index < 0) return;
-  SpikeEvent& ev = events_[m.event_index];
+  if (m.rec.spike == RecognitionCore::kNoSpike) return;
+  SpikeEvent& ev = events_[m.rec.spike];
   if (ev.outcome != SpikeOutcome::kPending) return;
   ev.outcome = outcome;
   ev.forced = forced;
@@ -594,15 +379,13 @@ void GuardBox::force_verdict(const std::shared_ptr<Monitor>& m, bool release) {
   } else {
     ++forced_closed_;
   }
-  if (mon.event_index >= 0) {
-    SpikeEvent& ev = events_[mon.event_index];
-    ev.verdict_time = sim().now();
-    ev.verdict_legit = release;
-    ev.dropped = !release;
-    if (ev.held) ev.hold_seconds = (sim().now() - mon.first_held).seconds();
-    ev.forced = true;
-    ev.outcome = release ? SpikeOutcome::kReleased : SpikeOutcome::kDropped;
-  }
+  SpikeEvent& ev = events_[mon.rec.spike];
+  ev.verdict_time = sim().now();
+  ev.verdict_legit = release;
+  ev.dropped = !release;
+  if (ev.held) ev.hold_seconds = (sim().now() - mon.first_held).seconds();
+  ev.forced = true;
+  ev.outcome = release ? SpikeOutcome::kReleased : SpikeOutcome::kDropped;
   if (release) {
     ++released_;
     flush(mon);
@@ -610,29 +393,20 @@ void GuardBox::force_verdict(const std::shared_ptr<Monitor>& m, bool release) {
     ++blocked_;
     drop(mon);
   }
-  // Invalidate the in-flight verdict callback: when the decision module
-  // finally answers, the generation no longer matches.
-  ++mon.spike_gen;
-  mon.state = Monitor::State::kPass;
+  // Closing the spike also voids the in-flight verdict callback: when the
+  // decision module finally answers, the spike is no longer awaiting it.
+  RecognitionCore::close_spike(mon.rec);
 }
 
 void GuardBox::enforce_hold_cap(const std::shared_ptr<Monitor>& m) {
   Monitor& mon = *m;
-  if (opts_.hold_queue_cap == 0 || mon.held.size() < opts_.hold_queue_cap) {
-    return;
-  }
-  if (mon.state != Monitor::State::kClassifying &&
-      mon.state != Monitor::State::kAwaitingVerdict) {
+  if (opts_.hold_queue_cap == 0 || mon.held.size() < opts_.hold_queue_cap ||
+      !mon.rec.spike_open) {
     return;
   }
   ++hold_overflows_;
-  if (mon.state == Monitor::State::kClassifying && mon.event_index >= 0) {
-    // Record the classifier's best guess even though the policy overrides it.
-    events_[mon.event_index].cls = mon.classifier.finalize();
-    events_[mon.event_index].rule = mon.classifier.matched_rule();
-  }
   sim().log(sim::LogLevel::kWarn, name(),
-            "hold queue overflow on flow " + std::to_string(mon.flow_id) +
+            "hold queue overflow on flow " + std::to_string(mon.rec.id) +
                 " -> " + to_string(opts_.fail_policy));
   force_verdict(m, opts_.fail_policy == FailPolicy::kFailOpen);
 }
@@ -678,8 +452,7 @@ void GuardBox::restart() {
   for (const auto& flow : flows) {
     terminalize(*flow->mon, SpikeOutcome::kDropped, /*forced=*/true);
     drop(*flow->mon);
-    ++flow->mon->spike_gen;
-    flow->mon->state = Monitor::State::kPass;
+    RecognitionCore::close_spike(flow->mon->rec);
     // Aborting one side cascades through its on_closed handler: the map
     // entries are erased and the counterpart is aborted too.
     if (flow->lan != nullptr && !flow->lan_closed) {
@@ -697,7 +470,7 @@ void GuardBox::restart() {
   std::sort(udp_mons.begin(), udp_mons.end(),
             [](const std::shared_ptr<Monitor>& a,
                const std::shared_ptr<Monitor>& b) {
-              return a->flow_id < b->flow_id;
+              return a->rec.id < b->rec.id;
             });
   for (const auto& mon : udp_mons) {
     terminalize(*mon, SpikeOutcome::kDropped, /*forced=*/true);
@@ -707,10 +480,7 @@ void GuardBox::restart() {
 
   // Cold start: learned recognizer state is gone until DNS/signature
   // re-acquisition.
-  avs_ip_ = net::IpAddress{};
-  google_ip_ = net::IpAddress{};
-  learner_ = SignatureLearner{};
-  learner_.seed(avs_signature());
+  core_.reset();
 }
 
 }  // namespace vg::guard

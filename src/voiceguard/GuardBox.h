@@ -11,8 +11,7 @@
 #include "netsim/Tcp.h"
 #include "netsim/Udp.h"
 #include "voiceguard/Decision.h"
-#include "voiceguard/Recognizer.h"
-#include "voiceguard/SignatureLearner.h"
+#include "voiceguard/RecognitionCore.h"
 #include "voiceguard/WireTap.h"
 
 /// \file GuardBox.h
@@ -27,26 +26,20 @@
 ///    kills the TLS session on the record-sequence gap (Fig. 4, case III);
 ///  - a *UDP forwarder* for the Google Home Mini's QUIC traffic, holding
 ///    whole datagrams;
-///  - the Voice Command Traffic Recognition logic (§IV-B1): AVS-IP tracking
-///    by DNS plus connection signature, spike detection with heartbeat
-///    filtering, and the phase-1/phase-2 classifier;
 ///  - the hold/query/release-or-drop state machine around the Decision
-///    Module.
+///    Module, with its degradation policies.
+///
+/// Recognition (§IV-B1) is not implemented here: every upstream record goes
+/// through a RecognitionCore — the same code the offline replayers run —
+/// and the box acts on what it returns (forward or hold the record, query
+/// or release a decided spike, arm the core's deadlines on the simulation
+/// clock).
 ///
 /// Information rule: this class only reads what a real middlebox could —
 /// packet/record lengths, TCP/UDP headers, plaintext DNS. It never reads
 /// TlsRecord::tag (tests enforce the behaviour this guarantees).
 
 namespace vg::guard {
-
-/// Operating mode, for the paper's comparisons.
-enum class GuardMode {
-  kVoiceGuard,  // full scheme: classify spikes, hold only commands
-  kNaive,       // the strawman of Fig. 3: hold every spike after idle
-  kMonitor,     // recognize and record, but never hold (detection only)
-};
-
-std::string to_string(GuardMode m);
 
 /// What the guard does with a held spike when it cannot obtain a verdict
 /// (decision timeout, hold-queue overflow): fail-closed sacrifices
@@ -72,14 +65,7 @@ enum class SpikeOutcome : std::uint8_t {
 std::string to_string(SpikeOutcome o);
 
 /// One recognized spike and what happened to it.
-struct SpikeEvent {
-  std::uint64_t flow_id{0};
-  bool udp{false};
-  sim::TimePoint start;
-  /// First packet lengths (<= rules::kSpikePrefixKeep kept).
-  std::vector<std::uint32_t> prefix;
-  SpikeClass cls{SpikeClass::kUnknown};
-  MatchedRule rule{MatchedRule::kNone};  // rule behind cls (kNone if forced)
+struct SpikeEvent : Spike {
   bool held{false};
   bool queried{false};
   bool verdict_legit{false};
@@ -99,16 +85,6 @@ class GuardBox : public net::MiddleBox {
     std::vector<net::IpAddress> speaker_ips;
     std::string avs_domain = "avs-alexa-4-na.amazon.com";
     std::string google_domain = "www.google.com";
-    /// Heartbeat records are this long and are ignored by spike detection.
-    std::uint32_t heartbeat_len = 41;
-    /// A no-traffic period at least this long starts a new spike.
-    sim::Duration spike_idle_gap = sim::seconds(3);
-    /// Maximum buffering time before the classifier is forced to decide.
-    sim::Duration classify_timeout = sim::milliseconds(300);
-    /// Connection-establishment traffic (exempt from spike detection, and
-    /// the signature learner's observation window) lasts at most this long
-    /// from the first record of a flow.
-    sim::Duration establishment_window = sim::from_seconds(1.5);
     /// Learn/refresh the AVS establishment signature from DNS-identified
     /// connections (§VII's future work, implemented).
     bool adaptive_signatures = true;
@@ -141,8 +117,10 @@ class GuardBox : public net::MiddleBox {
   void set_wire_tap(WireTap* tap) { tap_ = tap; }
 
   // --- recognizer state ------------------------------------------------------
-  [[nodiscard]] net::IpAddress tracked_avs_ip() const { return avs_ip_; }
-  [[nodiscard]] net::IpAddress tracked_google_ip() const { return google_ip_; }
+  [[nodiscard]] net::IpAddress tracked_avs_ip() const { return core_.avs_ip(); }
+  [[nodiscard]] net::IpAddress tracked_google_ip() const {
+    return core_.google_ip();
+  }
   [[nodiscard]] std::uint64_t avs_ip_updates_from_dns() const {
     return avs_dns_updates_;
   }
@@ -178,13 +156,14 @@ class GuardBox : public net::MiddleBox {
 
   DecisionModule& decision() { return decision_; }
 
-  /// The AVS establishment signature the recognizer ships with (measured by
-  /// the paper's authors; §IV-B1). The live signature may differ once the
-  /// learner has observed enough DNS-identified connections.
-  static const std::vector<std::uint32_t>& avs_signature();
+  /// The AVS establishment signature the recognizer ships with (see
+  /// RecognitionCore::shipped_signature).
+  static const std::vector<std::uint32_t>& avs_signature() {
+    return RecognitionCore::shipped_signature();
+  }
 
   [[nodiscard]] const SignatureLearner& signature_learner() const {
-    return learner_;
+    return core_.learner();
   }
 
  protected:
@@ -192,32 +171,15 @@ class GuardBox : public net::MiddleBox {
   bool on_wan_packet(net::Packet& p) override;
 
  private:
+  /// One speaker flow: its recognition state plus what the box holds.
   struct Monitor {
-    enum class Kind { kUnmonitored, kAvs, kGoogle };
-    enum class State { kPass, kClassifying, kAwaitingVerdict, kObserving };
-
-    std::uint64_t flow_id{0};
-    bool udp{false};
-    Kind kind{Kind::kUnmonitored};
-    State state{State::kPass};
-    SignatureMatcher sig;
-    net::IpAddress flow_dst{};
+    RecognitionCore::Flow rec;
     net::IpAddress speaker_ip{};
-    sim::TimePoint created{};
-    int upstream_records{0};
-    bool establishment_done{false};
-    std::vector<std::uint32_t> est_prefix;  // DNS-identified AVS flows only
-    bool has_upstream{false};
-    sim::TimePoint last_upstream{};
-    SpikeClassifier classifier;
     std::vector<std::function<void()>> held;  // deferred forward actions
     sim::TimePoint first_held{};
-    int event_index{-1};
-    std::uint64_t spike_gen{0};
     int tap_flow{-1};  // wire-tap flow index; -1 when untapped
 
-    explicit Monitor(std::vector<std::uint32_t> signature)
-        : sig(std::move(signature)) {}
+    explicit Monitor(RecognitionCore::Flow f) : rec(std::move(f)) {}
   };
 
   struct ProxiedFlow {
@@ -231,16 +193,24 @@ class GuardBox : public net::MiddleBox {
 
   void accept_lan_connection(net::TcpConnection& lan_conn);
   void on_dns_response(const net::DnsMessage& dns);
-  Monitor::Kind classify_destination(net::IpAddress dst) const;
   [[nodiscard]] bool is_speaker(net::IpAddress ip) const;
   DecisionModule& decision_for(const Monitor& m);
 
-  /// Core hold/release state machine; \p forward sends the item onward.
+  /// Runs one upstream record through the core and acts on the step: hold
+  /// or forward (\p forward sends the item onward), arm the classify timer,
+  /// settle a decided spike.
   void monitor_upstream(const std::shared_ptr<Monitor>& m, std::uint32_t len,
-                        std::function<void()> forward);
-  void start_spike(const std::shared_ptr<Monitor>& m);
-  void settle_classification(const std::shared_ptr<Monitor>& m, SpikeClass cls);
+                        bool tls, std::function<void()> forward);
+  void on_classify_timeout(const std::shared_ptr<Monitor>& m,
+                           std::uint64_t gen);
+  /// The open spike's class was decided: observe (monitor mode), query
+  /// (command) or release it.
+  void settle_classification(const std::shared_ptr<Monitor>& m);
   void query_decision(const std::shared_ptr<Monitor>& m);
+  /// True while \p m's spike \p gen is open (awaiting its verdict).
+  [[nodiscard]] static bool awaiting(const Monitor& m, std::uint64_t gen) {
+    return m.rec.spike_open && m.rec.spike_gen == gen;
+  }
   void flush(Monitor& m);
   void drop(Monitor& m);
   /// Records the terminal outcome of the monitor's current spike (no-op if it
@@ -251,20 +221,17 @@ class GuardBox : public net::MiddleBox {
   void force_verdict(const std::shared_ptr<Monitor>& m, bool release);
   /// Applies the hold-queue capacity policy after a push.
   void enforce_hold_cap(const std::shared_ptr<Monitor>& m);
-  void maybe_adopt_avs_ip(Monitor& m, std::uint32_t len);
-  void finish_establishment(Monitor& m);
+  void log_relearned();
 
   DecisionModule& decision_;
   Options opts_;
-  SignatureLearner learner_;
+  RecognitionCore core_;
   WireTap* tap_{nullptr};
   std::unordered_map<net::IpAddress, DecisionModule*> per_speaker_decision_;
 
   std::unique_ptr<net::TcpStack> lan_stack_;
   std::unique_ptr<net::TcpStack> wan_stack_;
 
-  net::IpAddress avs_ip_{};
-  net::IpAddress google_ip_{};
   std::uint64_t avs_dns_updates_{0};
   std::uint64_t avs_signature_updates_{0};
 

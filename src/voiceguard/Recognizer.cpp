@@ -1,7 +1,5 @@
 #include "voiceguard/Recognizer.h"
 
-#include <algorithm>
-
 namespace vg::guard {
 
 SignatureMatcher::State SignatureMatcher::feed(std::uint32_t len) {
@@ -37,26 +35,6 @@ std::string to_string(MatchedRule r) {
   return "?";
 }
 
-MatchedRule fixed_pattern_rule(const std::vector<std::uint32_t>& f) {
-  using namespace rules;
-  if (f.size() < kPatternLen) return MatchedRule::kNone;
-  if (f[0] < kPatternFirstMin || f[0] > kPatternFirstMax) {
-    return MatchedRule::kNone;
-  }
-  const auto tail_is = [&f](const std::array<std::uint32_t, 4>& tail) {
-    return std::equal(tail.begin(), tail.end(), f.begin() + 1);
-  };
-  if (tail_is(kPatternTailA)) return MatchedRule::kPatternA;
-  if (tail_is(kPatternTailB)) return MatchedRule::kPatternB;
-  if (tail_is(kPatternTailC)) return MatchedRule::kPatternC;
-  return MatchedRule::kNone;
-}
-
-bool SpikeClassifier::matches_fixed_pattern(
-    const std::vector<std::uint32_t>& f) {
-  return fixed_pattern_rule(f) != MatchedRule::kNone;
-}
-
 SpikeClass classify_spike(const std::vector<std::uint32_t>& lens) {
   return analyze_spike(lens).cls;
 }
@@ -68,70 +46,5 @@ RuleMatch analyze_spike(const std::vector<std::uint32_t>& lens) {
   }
   return {c.finalize(), c.matched_rule()};
 }
-
-// ---------------------------------------------------------------------------
-// legacy — the window-scan reference oracle
-// ---------------------------------------------------------------------------
-
-namespace legacy {
-
-WindowScanClassifier::Evaluation WindowScanClassifier::evaluate(
-    bool final_call) const {
-  using namespace rules;
-  for (std::size_t i = 0; i + 1 < lens_.size() && i + 1 < kPairWindow; ++i) {
-    if (lens_[i] == kP77 && lens_[i + 1] == kP33) {
-      return {SpikeClass::kResponse, MatchedRule::kResponsePair};
-    }
-  }
-  for (std::size_t i = 0; i < lens_.size() && i < kFrequentWindow; ++i) {
-    if (lens_[i] == kP138) return {SpikeClass::kCommand, MatchedRule::kP138};
-    if (lens_[i] == kP75) return {SpikeClass::kCommand, MatchedRule::kP75};
-  }
-  if (const MatchedRule r = fixed_pattern_rule(lens_); r != MatchedRule::kNone) {
-    return {SpikeClass::kCommand, r};
-  }
-  if (lens_.size() >= kDecisionWindow || final_call) {
-    return {SpikeClass::kUnknown, MatchedRule::kNone};
-  }
-  return {std::nullopt, MatchedRule::kNone};  // need more packets
-}
-
-std::optional<SpikeClass> WindowScanClassifier::feed(std::uint32_t len) {
-  if (decided_) return decided_;
-  lens_.push_back(len);
-  auto v = evaluate(/*final_call=*/false);
-  if (v.cls && *v.cls != SpikeClass::kUnknown) {
-    decided_ = v.cls;
-    rule_ = v.rule;
-    return decided_;
-  }
-  if (lens_.size() >= rules::kDecisionWindow) {
-    auto f = evaluate(/*final_call=*/true);
-    decided_ = f.cls;
-    rule_ = f.rule;
-    return decided_;
-  }
-  return std::nullopt;
-}
-
-SpikeClass WindowScanClassifier::finalize() const {
-  if (decided_) return *decided_;
-  return evaluate(/*final_call=*/true).cls.value_or(SpikeClass::kUnknown);
-}
-
-MatchedRule WindowScanClassifier::matched_rule() const {
-  if (decided_) return rule_;
-  return evaluate(/*final_call=*/true).rule;
-}
-
-RuleMatch analyze_spike(const std::vector<std::uint32_t>& lens) {
-  WindowScanClassifier c;
-  for (std::uint32_t l : lens) {
-    if (auto v = c.feed(l)) return {*v, c.matched_rule()};
-  }
-  return {c.finalize(), c.matched_rule()};
-}
-
-}  // namespace legacy
 
 }  // namespace vg::guard

@@ -3,23 +3,47 @@
 #include <array>
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
+#include "simcore/Time.h"
+
 /// \file Recognizer.h
 /// Pure packet-length logic of the Voice Command Traffic Recognition
-/// sub-module (§IV-B): connection-signature matching (to track the AVS
-/// server's IP across DNS-less reconnects) and the phase-1/phase-2 spike
-/// classifier. Everything here operates on observable wire lengths only — no
-/// payload, no tags.
+/// sub-module (§IV-B): the rule table, connection-signature matching (to
+/// track the AVS server's IP across DNS-less reconnects) and the
+/// phase-1/phase-2 spike classifier. Everything here operates on observable
+/// wire lengths only — no payload, no tags. RecognitionCore.h runs these
+/// pieces over a flow's traffic.
 
 namespace vg::guard {
 
-/// The measured frequent-length rule table of §IV-B1, named. These are the
-/// single source of truth for the classifier; Recognizer.cpp and the replay
-/// tooling (`vgtrace stats`) both read them from here.
+/// The measured rule table and timing of §IV-B1, named. These are the single
+/// source of truth for every recognizer driver (live guard, replayers) and
+/// for the replay tooling (`vgtrace stats`).
 namespace rules {
+
+/// Upstream AVS records of exactly this length are heartbeats: they never
+/// start a spike or reset the idle clock.
+inline constexpr std::uint32_t kHeartbeatLen = 41;
+
+/// A no-traffic period at least this long makes the next record start a new
+/// spike.
+inline constexpr sim::Duration kSpikeIdleGap = sim::seconds(3);
+
+/// Maximum time a spike stays undecided: its classifier is forced to a
+/// verdict this long after its first record.
+inline constexpr sim::Duration kClassifyTimeout = sim::milliseconds(300);
+
+/// Connection-establishment traffic (exempt from spike detection, and the
+/// signature learner's example) lasts at most this long from the flow's
+/// opening.
+inline constexpr sim::Duration kEstablishmentWindow = sim::milliseconds(1500);
+
+/// A DNS-identified AVS flow that goes quiet inside its window still hands
+/// the learner its prefix this long after it opened.
+inline constexpr sim::Duration kEstablishmentCloseOut =
+    kEstablishmentWindow + sim::milliseconds(100);
 
 /// Frequent phase-1 (command) lengths: a p-138 or p-75 packet appears within
 /// the first \ref kFrequentWindow packets of most command spikes.
@@ -88,6 +112,7 @@ constexpr std::uint8_t len_class(std::uint32_t len) {
 /// Incremental prefix matcher for a packet-length signature.
 class SignatureMatcher {
  public:
+  SignatureMatcher() = default;  // empty signature: fails on the first feed
   explicit SignatureMatcher(std::vector<std::uint32_t> signature)
       : signature_(std::move(signature)) {}
 
@@ -130,10 +155,6 @@ enum class MatchedRule {
 
 std::string to_string(MatchedRule r);
 
-/// Which fixed fallback pattern the first \ref rules::kPatternLen packets
-/// match (kPatternA/B/C), or kNone.
-MatchedRule fixed_pattern_rule(const std::vector<std::uint32_t>& first5);
-
 /// Incremental classifier over the first packets of one spike. Decides as
 /// early as the rules allow:
 ///  - p-138 or p-75 within the first 5 packets        -> kCommand
@@ -147,10 +168,9 @@ MatchedRule fixed_pattern_rule(const std::vector<std::uint32_t>& first5);
 /// every rule is re-checked the instant the record completing it arrives —
 /// in the same priority order the legacy window scan used (pair, then
 /// frequent, then pattern) — the verdict stream is bit-identical to
-/// re-evaluating the whole window per record (legacy::WindowScanClassifier,
-/// the reference oracle; the equivalence property test enforces this).
-/// The seen-prefix buffer is an inline std::array, so feeding a spike never
-/// allocates.
+/// re-evaluating the whole window per record (the window-scan reference
+/// oracle in tests/testutil; the equivalence property test enforces this).
+/// The state is a few registers, so feeding a spike never allocates.
 class SpikeClassifier {
  public:
   /// Feeds the next packet length. Returns the verdict once final.
@@ -178,13 +198,6 @@ class SpikeClassifier {
   /// O(1): the rule is fixed at decision time, never re-derived.
   [[nodiscard]] MatchedRule matched_rule() const { return rule_; }
 
-  [[nodiscard]] std::span<const std::uint32_t> seen() const {
-    return {lens_.data(), count_};
-  }
-
-  /// The three fixed phase-1 patterns (first packet is a 250-650 range).
-  static bool matches_fixed_pattern(const std::vector<std::uint32_t>& first5);
-
  private:
   // Pattern-cursor bits: set while the prefix seen so far still matches the
   // corresponding fixed pattern.
@@ -192,7 +205,6 @@ class SpikeClassifier {
   static constexpr std::uint8_t kBitB = 1u << 1;
   static constexpr std::uint8_t kBitC = 1u << 2;
 
-  std::array<std::uint32_t, rules::kDecisionWindow> lens_{};
   std::size_t count_{0};
   std::uint32_t prev_{0};
   std::uint8_t pattern_alive_{kBitA | kBitB | kBitC};
@@ -204,7 +216,6 @@ inline std::optional<SpikeClass> SpikeClassifier::feed(std::uint32_t len) {
   using namespace rules;
   if (decided_) return decided_;
   const std::size_t i = count_;  // index of this record; < kDecisionWindow
-  lens_[i] = len;
   ++count_;
 
   // Rule priority per record mirrors the window scan: the phase-2 pair is
@@ -255,7 +266,6 @@ inline std::optional<SpikeClass> SpikeClassifier::feed_nonrule(
     std::uint32_t len) {
   using namespace rules;
   if (decided_) return decided_;
-  lens_[count_] = len;
   ++count_;
   // A non-alphabet length is never 33 (so it completes no pair), never a
   // frequent length, and matches no pattern position — every cursor dies.
@@ -280,33 +290,5 @@ struct RuleMatch {
 
 /// classify_spike with the matched rule, for offline tooling.
 RuleMatch analyze_spike(const std::vector<std::uint32_t>& lens);
-
-/// The pre-DFA classifier, kept compiled as the reference oracle for the
-/// equivalence tests: it re-walks the whole seen window (pair rule, frequent
-/// rule, fixed patterns, in that priority order) after every record, which is
-/// trivially correct but O(window) per record and heap-backed.
-namespace legacy {
-
-class WindowScanClassifier {
- public:
-  std::optional<SpikeClass> feed(std::uint32_t len);
-  [[nodiscard]] SpikeClass finalize() const;
-  [[nodiscard]] MatchedRule matched_rule() const;
-
- private:
-  struct Evaluation {
-    std::optional<SpikeClass> cls;
-    MatchedRule rule{MatchedRule::kNone};
-  };
-  [[nodiscard]] Evaluation evaluate(bool final_call) const;
-
-  std::vector<std::uint32_t> lens_;
-  std::optional<SpikeClass> decided_;
-  MatchedRule rule_{MatchedRule::kNone};
-};
-
-RuleMatch analyze_spike(const std::vector<std::uint32_t>& lens);
-
-}  // namespace legacy
 
 }  // namespace vg::guard

@@ -4,48 +4,52 @@
 
 namespace vg::guard {
 
-std::vector<std::uint32_t> SignatureLearner::common_prefix(
-    const std::vector<std::vector<std::uint32_t>>& examples) {
-  if (examples.empty()) return {};
-  std::vector<std::uint32_t> prefix = examples.front();
-  for (const auto& e : examples) {
-    std::size_t n = 0;
-    while (n < prefix.size() && n < e.size() && prefix[n] == e[n]) ++n;
-    prefix.resize(n);
-    if (prefix.empty()) break;
-  }
-  return prefix;
+void SignatureLearner::reset() {
+  head_ = 0;
+  count_ = 0;
+  published_.clear();
+  observations_ = 0;
+  republished_ = 0;
 }
 
 bool SignatureLearner::observe(const std::vector<std::uint32_t>& prefix) {
   ++observations_;
-  std::vector<std::uint32_t> example = prefix;
-  if (example.size() > opts_.example_prefix) {
-    example.resize(opts_.example_prefix);
+  if (examples_.empty()) return false;
+  // With the ring full, the new example overwrites the oldest and the head
+  // advances.
+  const std::size_t n = std::min(prefix.size(), opts_.example_prefix);
+  examples_[(head_ + count_) % examples_.size()].assign(prefix.begin(),
+                                                        prefix.begin() + n);
+  if (count_ == examples_.size()) {
+    head_ = (head_ + 1) % examples_.size();
+  } else {
+    ++count_;
   }
-  examples_.push_back(std::move(example));
-  if (examples_.size() > opts_.window) {
-    examples_.erase(examples_.begin());
-  }
-  if (static_cast<int>(examples_.size()) < opts_.min_examples) return false;
+  const auto need = static_cast<std::size_t>(opts_.min_examples);
+  if (count_ < need) return false;
 
-  // Consensus over the most recent min_examples observations; a window
-  // spanning a behaviour change would otherwise shrink the prefix to the
-  // pre/post common part.
-  std::vector<std::vector<std::uint32_t>> recent(
-      examples_.end() - opts_.min_examples, examples_.end());
-  std::vector<std::uint32_t> candidate = common_prefix(recent);
-  if (candidate.size() < opts_.min_length) return false;
-  if (candidate == published_) return false;
+  // Consensus: the longest prefix shared by the most recent min_examples
+  // observations; a window spanning a behaviour change would otherwise
+  // shrink the prefix to the pre/post common part.
+  const std::size_t first = head_ + count_ - need;
+  candidate_ = examples_[first % examples_.size()];
+  for (std::size_t k = 1; k < need && !candidate_.empty(); ++k) {
+    const auto& e = examples_[(first + k) % examples_.size()];
+    const auto diverge =
+        std::mismatch(candidate_.begin(), candidate_.end(), e.begin(), e.end());
+    candidate_.erase(diverge.first, candidate_.end());
+  }
+  if (candidate_.size() < opts_.min_length) return false;
+  if (candidate_ == published_) return false;
   // Never shrink drastically just because a long-prefix consensus got cut by
   // one noisy example; accept the new signature only if it is not a strict
   // prefix of the current one (a strict prefix matches a superset of
   // connections, raising false re-identification).
-  if (!published_.empty() && candidate.size() < published_.size() &&
-      std::equal(candidate.begin(), candidate.end(), published_.begin())) {
+  if (!published_.empty() && candidate_.size() < published_.size() &&
+      std::equal(candidate_.begin(), candidate_.end(), published_.begin())) {
     return false;
   }
-  published_ = std::move(candidate);
+  published_.swap(candidate_);
   ++republished_;
   return true;
 }

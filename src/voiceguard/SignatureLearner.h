@@ -1,7 +1,7 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 /// \file SignatureLearner.h
@@ -35,15 +35,22 @@ class SignatureLearner {
   };
 
   SignatureLearner() : SignatureLearner(Options{}) {}
-  explicit SignatureLearner(Options opts) : opts_(opts) {}
+  explicit SignatureLearner(Options opts)
+      : opts_(opts), examples_(opts.window) {}
 
   /// Seeds the learner with a known-good signature (the shipped one).
-  void seed(std::vector<std::uint32_t> signature) {
-    published_ = std::move(signature);
+  void seed(const std::vector<std::uint32_t>& signature) {
+    published_.assign(signature.begin(), signature.end());
   }
+
+  /// Forgets every example, the published signature and the counters, but
+  /// keeps the buffers: a reset learner observes without allocating.
+  void reset();
 
   /// Records the packet-length prefix of one DNS-identified AVS connection.
   /// Returns true if this observation changed the published signature.
+  /// Allocation-free once warm: examples live in a fixed ring of reused
+  /// buffers and the consensus is computed in place.
   bool observe(const std::vector<std::uint32_t>& prefix);
 
   /// The signature currently in force (shipped seed until enough evidence
@@ -52,17 +59,16 @@ class SignatureLearner {
     return published_;
   }
 
-  [[nodiscard]] bool has_signature() const { return !published_.empty(); }
   [[nodiscard]] std::uint64_t observations() const { return observations_; }
   [[nodiscard]] std::uint64_t republished() const { return republished_; }
 
  private:
-  /// Longest prefix shared by all of \p examples.
-  static std::vector<std::uint32_t> common_prefix(
-      const std::vector<std::vector<std::uint32_t>>& examples);
-
   Options opts_;
+  /// The last opts_.window examples, oldest at head_ (FIFO).
   std::vector<std::vector<std::uint32_t>> examples_;
+  std::size_t head_{0};
+  std::size_t count_{0};
+  std::vector<std::uint32_t> candidate_;  // consensus scratch
   std::vector<std::uint32_t> published_;
   std::uint64_t observations_{0};
   std::uint64_t republished_{0};

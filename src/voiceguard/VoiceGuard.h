@@ -18,6 +18,7 @@
 #include "voiceguard/Decision.h"
 #include "voiceguard/FloorTracker.h"
 #include "voiceguard/GuardBox.h"
+#include "voiceguard/RecognitionCore.h"
 #include "voiceguard/Recognizer.h"
 #include "voiceguard/SignatureLearner.h"
 #include "voiceguard/ThresholdApp.h"

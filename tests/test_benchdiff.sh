@@ -1,0 +1,64 @@
+#!/usr/bin/env bash
+# Contract test for tools/benchdiff, the CI bench gate: an identical harvest
+# passes, a changed deterministic counter fails, and a line whose run shape
+# differs from its baseline fails, naming the shape field.
+#
+# usage: test_benchdiff.sh <benchdiff> <baseline.jsonl>
+
+set -u
+
+if [ $# -ne 2 ]; then
+  echo "usage: $0 <benchdiff> <baseline.jsonl>" >&2
+  exit 2
+fi
+
+BENCHDIFF=$1
+BASELINE=$2
+
+TMP=$(mktemp -d) || exit 1
+trap 'rm -rf "$TMP"' EXIT
+
+fails=0
+
+# expect <exit code> <output substring> <fresh.jsonl>
+expect() {
+  want=$1
+  needle=$2
+  fresh=$3
+  python3 "$BENCHDIFF" "$BASELINE" "$fresh" >"$TMP/out" 2>&1
+  got=$?
+  if [ "$got" -ne "$want" ] || ! grep -qF -- "$needle" "$TMP/out"; then
+    echo "FAIL: exit $got (want $want), output must contain '$needle'" >&2
+    sed 's/^/  /' "$TMP/out" >&2
+    fails=$((fails + 1))
+  else
+    echo "ok: exit $got: $needle"
+  fi
+}
+
+# 0: the baseline against itself.
+expect 0 "no guarded regressions" "$BASELINE"
+
+# 0: a field outside the shape and the counters may differ.
+sed 's/"workers":1,"serial_seconds"/"workers":4,"serial_seconds"/' \
+  "$BASELINE" >"$TMP/workers.jsonl"
+expect 0 "no guarded regressions" "$TMP/workers.jsonl"
+
+# 1: one Table I counter moved.
+sed 's/"spike_events":262/"spike_events":263/' "$BASELINE" >"$TMP/table1.jsonl"
+expect 1 "table1_recognition.spike_events: 262 -> 263" "$TMP/table1.jsonl"
+
+# 1: the simulator executed one more event.
+sed 's/"events":2575509/"events":2575510/' "$BASELINE" >"$TMP/events.jsonl"
+expect 1 "throughput.events: 2575509 -> 2575510" "$TMP/events.jsonl"
+
+# 1: a different run shape: a 1-day run's counters are not comparable.
+sed 's/"trials":12,"days":7/"trials":12,"days":1/' "$BASELINE" \
+  >"$TMP/shape.jsonl"
+expect 1 "throughput.days: run shape 7 -> 1" "$TMP/shape.jsonl"
+
+if [ "$fails" -ne 0 ]; then
+  echo "$fails case(s) failed" >&2
+  exit 1
+fi
+echo "all benchdiff cases hold"

@@ -10,6 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "cloud/CloudFarm.h"
 #include "netsim/Host.h"
@@ -106,6 +109,52 @@ TEST(ChaosMatrix, FixedSeedReproducesBitIdentically) {
   EXPECT_EQ(r1.fingerprint(), r2.fingerprint());
   EXPECT_EQ(r1.to_string(), r2.to_string());
   EXPECT_GT(r1.faults_injected, 0u);
+}
+
+TEST(ChaosMatrix, FingerprintsArePinned) {
+  // The cells `bench_chaos_matrix` prints, pinned as literals: a change that
+  // moves guard behaviour identically on the serial and batched paths still
+  // fails here. Like the golden .vgt corpus, these values are portable across
+  // hosts (the RNG and every libm-derived timing are bit-reproducible).
+  const std::vector<std::pair<std::string, std::uint64_t>> want = {
+      {"baseline/voiceguard/fail-closed", 16453999553078942886ull},
+      {"baseline/naive/fail-closed", 2901321312770970761ull},
+      {"baseline/monitor/fail-closed", 1745109488617958445ull},
+      {"lan-burst/voiceguard/fail-closed", 11205955565878808639ull},
+      {"lan-burst/naive/fail-closed", 16574549384361752494ull},
+      {"lan-burst/monitor/fail-closed", 3186245573894713777ull},
+      {"wan-flap-short/voiceguard/fail-closed", 15070807720244620355ull},
+      {"wan-flap-short/naive/fail-closed", 4749783168381497921ull},
+      {"wan-flap-short/monitor/fail-closed", 12307007197542013859ull},
+      {"wan-flap-long/voiceguard/fail-closed", 14762416723189658926ull},
+      {"wan-flap-long/naive/fail-closed", 10493917285795714916ull},
+      {"wan-flap-long/monitor/fail-closed", 12513334095576035778ull},
+      {"wan-latency-spike/voiceguard/fail-closed", 16308407619522829960ull},
+      {"wan-latency-spike/naive/fail-closed", 11035673123758068589ull},
+      {"wan-latency-spike/monitor/fail-closed", 4819261460338841972ull},
+      {"cloud-outage/voiceguard/fail-closed", 16913022111386891143ull},
+      {"cloud-outage/naive/fail-closed", 848604695567049003ull},
+      {"cloud-outage/monitor/fail-closed", 6064297127673138374ull},
+      {"fcm-degraded/voiceguard/fail-closed", 16863663469452809139ull},
+      {"fcm-degraded/naive/fail-closed", 3896402891151697457ull},
+      {"fcm-degraded/monitor/fail-closed", 15502590779602490015ull},
+      {"device-crash/voiceguard/fail-closed", 15250831025814061398ull},
+      {"device-crash/naive/fail-closed", 14980560061036488592ull},
+      {"device-crash/monitor/fail-closed", 8789691544360404684ull},
+      {"guard-restart/voiceguard/fail-closed", 3686402536751718331ull},
+      {"guard-restart/naive/fail-closed", 594811109495314969ull},
+      {"guard-restart/monitor/fail-closed", 9255637497005638569ull},
+      {"kitchen-sink/voiceguard/fail-closed", 5825588748993472180ull},
+      {"kitchen-sink/naive/fail-closed", 8862197949004700878ull},
+      {"kitchen-sink/monitor/fail-closed", 6619888120133319362ull},
+  };
+  const auto results =
+      run_chaos_serial(chaos_matrix(901, guard::FailPolicy::kFailClosed));
+  ASSERT_EQ(results.size(), want.size());
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    EXPECT_EQ(results[i].label, want[i].first);
+    EXPECT_EQ(results[i].fingerprint(), want[i].second) << want[i].first;
+  }
 }
 
 TEST(ChaosMatrix, BatchRunnerMatchesSerial) {

@@ -138,6 +138,12 @@ expect 4 "$VGSCN" validate "$TMP/malformed.scn"
 printf '[scenario]\nname = x\nkind = home\nspeaker = warp_drive\n' \
   >"$TMP/bad-value.scn"
 expect 4 "$VGSCN" validate "$TMP/bad-value.scn"
+# A capture time past the 2^62 ns trace time cap (the ms -> ns conversion
+# would overflow at run time).
+printf '[scenario]\nname = x\nkind = synthetic\n[capture]\n%s\n%s\n' \
+  'flow = tcp 50001 10.0.0.1 443 0' 'spike = 0 9223372036854 500' \
+  >"$TMP/past-cap.scn"
+expect 4 "$VGSCN" validate "$TMP/past-cap.scn"
 
 # --- vgtrace ----------------------------------------------------------------
 

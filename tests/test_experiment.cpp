@@ -72,7 +72,8 @@ namespace vg::workload {
 namespace {
 
 TEST(Experiment, DeterministicForFixedSeed) {
-  auto run_once = [] {
+  using Outcomes = std::vector<std::tuple<std::uint64_t, bool, bool>>;
+  auto run_once = [](std::uint64_t& events) {
     WorldConfig cfg;
     cfg.testbed = WorldConfig::TestbedKind::kApartment;
     cfg.owner_count = 1;
@@ -84,16 +85,46 @@ TEST(Experiment, DeterministicForFixedSeed) {
     ecfg.episode_mean = sim::minutes(15);
     ExperimentDriver driver{world, ecfg};
     driver.run();
-    std::vector<std::tuple<std::uint64_t, bool, bool>> out;
+    events = world.sim().executed_events();
+    Outcomes out;
     for (const auto& o : driver.outcomes()) {
       out.emplace_back(o.id, o.malicious, o.executed);
     }
     return out;
   };
-  const auto a = run_once();
-  const auto b = run_once();
+  std::uint64_t events_a = 0;
+  std::uint64_t events_b = 0;
+  const auto a = run_once(events_a);
+  const auto b = run_once(events_b);
   ASSERT_FALSE(a.empty());
   EXPECT_EQ(a, b);
+  EXPECT_EQ(events_a, events_b);
+
+  // Pinned as literals (id, malicious, executed), like the golden .vgt
+  // corpus: a change that moves both runs the same way still fails here.
+  const Outcomes want = {
+      {1, true, false},
+      {2, false, true},
+      {3, false, true},
+      {4, false, true},
+      {5, false, true},
+      {6, true, false},
+      {7, false, true},
+      {8, true, false},
+      {9, false, true},
+      {10, false, true},
+      {11, false, true},
+      {12, false, true},
+      {13, false, true},
+      {14, true, false},
+      {15, true, false},
+      {16, true, false},
+      {17, false, true},
+      {18, true, false},
+      {19, false, true},
+  };
+  EXPECT_EQ(a, want);
+  EXPECT_EQ(events_a, 17211u);
 }
 
 TEST(Experiment, NightRoutineKeepsOwnersOutOfTheLegitAreaOvernight) {

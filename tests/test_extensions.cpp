@@ -6,6 +6,7 @@
 #include "cloud/CloudFarm.h"
 #include "home/Testbed.h"
 #include "speaker/EchoDot.h"
+#include "testutil/CountingAllocator.h"
 #include "voiceguard/VoiceGuard.h"  // umbrella header: compile coverage
 
 namespace vg {
@@ -71,6 +72,23 @@ TEST(SignatureLearner, ExamplesAreTruncatedToWindowPrefix) {
   l.observe(longer);
   EXPECT_TRUE(l.observe(longer));
   EXPECT_EQ(l.signature(), (std::vector<std::uint32_t>{1, 2, 3, 4}));
+}
+
+TEST(SignatureLearner, WarmObserveAllocatesNothing) {
+  // Runs of three agreeing examples flip the consensus between two
+  // signatures of different lengths, so every observe() below exercises the
+  // ring, the in-place consensus and a republish.
+  guard::SignatureLearner l;
+  l.seed(guard::GuardBox::avs_signature());
+  const std::vector<std::uint32_t> a{9, 8, 7, 6, 5, 4, 3, 2};
+  const std::vector<std::uint32_t> b{1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
+  const auto observe_runs = [&l, &a, &b](int n) {
+    for (int i = 0; i < n; ++i) l.observe((i / 3) % 2 == 0 ? a : b);
+  };
+  observe_runs(48);  // warm: every ring slot has held the longer example
+  const std::uint64_t republished = l.republished();
+  EXPECT_EQ(testutil::allocations_during([&] { observe_runs(48); }), 0u);
+  EXPECT_EQ(l.republished(), republished + 16);
 }
 
 // ---------------------------------------------------------------------------

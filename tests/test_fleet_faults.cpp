@@ -444,6 +444,9 @@ TEST(FleetFaultIntegration, OrchestratedParityAcrossShardLayouts) {
   const WorldTemplate tmpl{storm_spec()};
   ASSERT_NE(tmpl.orchestrator(), nullptr);
   const AggregateStats serial = run_fleet_serial(tmpl, 0, tmpl.homes());
+  // Pinned as a literal: sharded-vs-serial parity alone would pass a change
+  // that moves every layout the same way.
+  EXPECT_EQ(serial.fingerprint(), 8031962011589378937ull);
 
   for (const unsigned shards : {1u, 2u, 8u}) {
     for (const std::uint64_t resident : {0ull, 2ull}) {

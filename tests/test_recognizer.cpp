@@ -6,6 +6,8 @@
 #include "simcore/Rng.h"
 #include "speaker/TrafficPatterns.h"
 #include "voiceguard/GuardBox.h"
+#include "testutil/WindowScanClassifier.h"
+#include "voiceguard/RecognitionCore.h"
 #include "voiceguard/Recognizer.h"
 
 namespace vg::guard {
@@ -139,12 +141,13 @@ TEST(SpikeClassifier, FinalizeAfterDecisionReturnsDecision) {
 // ---------------------------------------------------------------------------
 
 // Feeds one sequence record-by-record into both the O(1)-per-record DFA and
-// the legacy window-scan oracle and asserts they agree at every step: the
-// per-feed verdict (including *when* the verdict fires), the forced finalize()
-// verdict, and matched_rule(). Returns the rule so callers can track coverage.
+// the window-scan oracle (tests/testutil) and asserts they agree at every
+// step: the per-feed verdict (including *when* the verdict fires), the forced
+// finalize() verdict, and matched_rule(). Returns the rule so callers can
+// track coverage.
 MatchedRule expect_equivalent(const std::vector<std::uint32_t>& seq) {
   SpikeClassifier dfa;
-  legacy::WindowScanClassifier oracle;
+  testutil::WindowScanClassifier oracle;
   for (std::size_t i = 0; i < seq.size(); ++i) {
     const auto a = dfa.feed(seq[i]);
     const auto b = oracle.feed(seq[i]);
@@ -224,7 +227,7 @@ TEST(SpikeClassifierEquivalence, GeneratedTrafficAgrees) {
     expect_equivalent(speaker::gen_phase2_prefix(rng));
   }
   EXPECT_EQ(analyze_spike({277, 131, 277, 131, 113}).rule,
-            legacy::analyze_spike({277, 131, 277, 131, 113}).rule);
+            testutil::analyze_spike({277, 131, 277, 131, 113}).rule);
 }
 
 // Regression for the pre-DFA bug: matched_rule() on an undecided classifier
@@ -298,6 +301,152 @@ TEST(TrafficPatterns, AvsSignatureIsExactlyThePaper) {
                                                73, 131, 73, 131, 73, 131, 77,
                                                33, 33};
   EXPECT_EQ(speaker::kAvsConnectionSignature, expected);
+}
+
+// ---------------------------------------------------------------------------
+// RecognitionCore — the live-only rules, driven without a Simulation
+// ---------------------------------------------------------------------------
+
+using Core = RecognitionCore;
+
+const net::IpAddress kAvsIp{10, 0, 0, 1};
+const net::IpAddress kAvsIp2{10, 0, 0, 2};
+const net::IpAddress kGoogleIp{10, 1, 0, 1};
+const net::IpAddress kOtherIp{93, 184, 216, 34};
+
+/// An establishment prefix unlike the shipped signature (>= min_length).
+const std::vector<std::uint32_t> kFreshSignature = {212, 90,  90, 333,
+                                                    47,  610, 18, 18};
+
+sim::TimePoint at_ms(std::int64_t ms) {
+  return sim::TimePoint{ms * 1'000'000};
+}
+
+/// Three DNS-identified AVS connections, each showing \p prefix inside its
+/// window and closed out by its deadline: enough for the learner to publish.
+void teach(Core& core, const std::vector<std::uint32_t>& prefix,
+           std::vector<Spike>& spikes) {
+  for (std::uint64_t k = 0; k < 3; ++k) {
+    Core::Flow f = core.open_flow(100 + k, /*udp=*/false, core.avs_ip(),
+                                  at_ms(0));
+    for (std::size_t i = 0; i < prefix.size(); ++i) {
+      core.upstream(f, at_ms(static_cast<std::int64_t>(i)), prefix[i],
+                    /*tls=*/true, spikes);
+    }
+    core.close_establishment(f);
+  }
+}
+
+TEST(RecognitionCore, NoNewSpikeWhileAVerdictIsPending) {
+  Core core{{GuardMode::kVoiceGuard, /*adaptive_signatures=*/true}};
+  core.on_dns(VoiceDomain::kAvs, kAvsIp);
+  std::vector<Spike> spikes;
+  Core::Flow f = core.open_flow(1, /*udp=*/false, kAvsIp, at_ms(0));
+  core.close_establishment(f);
+
+  // p-138 decides a command at once; the classify timeout is armed anyway,
+  // and the spike stays open until its driver has a verdict.
+  const Core::Step first = core.upstream(f, at_ms(5000), 138, true, spikes);
+  EXPECT_EQ(first, Core::kInSpike | Core::kOpened | Core::kArmClassify |
+                       Core::kDecided);
+  ASSERT_EQ(spikes.size(), 1u);
+  EXPECT_EQ(spikes[0].cls, SpikeClass::kCommand);
+
+  // Ten seconds of silence later the verdict is still pending: the record
+  // joins the held spike instead of opening a new one.
+  EXPECT_EQ(core.upstream(f, at_ms(15000), 300, true, spikes), Core::kInSpike);
+  EXPECT_EQ(spikes.size(), 1u);
+  EXPECT_EQ(spikes[0].prefix, (std::vector<std::uint32_t>{138}));
+
+  // Closed, the idle clock counts from that last record.
+  Core::close_spike(f);
+  EXPECT_EQ(core.upstream(f, at_ms(16000), 300, true, spikes), 0);
+  EXPECT_TRUE(core.upstream(f, at_ms(19000), 300, true, spikes) &
+              Core::kOpened);
+  EXPECT_EQ(spikes.size(), 2u);
+}
+
+TEST(RecognitionCore, QuietAvsFlowTeachesTheLearnerAtItsCloseOut) {
+  Core core{{GuardMode::kMonitor, /*adaptive_signatures=*/true}};
+  core.on_dns(VoiceDomain::kAvs, kAvsIp);
+  std::vector<Spike> spikes;
+  for (std::uint64_t k = 0; k < 3; ++k) {
+    const sim::TimePoint opened = at_ms(10'000 * static_cast<std::int64_t>(k));
+    Core::Flow f = core.open_flow(k + 1, /*udp=*/false, kAvsIp, opened);
+    EXPECT_EQ(Core::close_out_at(f), opened + sim::milliseconds(1600));
+    for (std::size_t i = 0; i < kFreshSignature.size(); ++i) {
+      EXPECT_EQ(core.upstream(f, opened + sim::milliseconds(10 * i),
+                              kFreshSignature[i], true, spikes),
+                0);  // exempt establishment traffic
+    }
+    // The flow goes quiet inside its window: only the close-out deadline
+    // hands its prefix to the learner.
+    EXPECT_EQ(core.learner().observations(), k);
+    EXPECT_EQ(core.close_establishment(f), k == 2);  // third one publishes
+    EXPECT_EQ(core.learner().observations(), k + 1);
+  }
+  EXPECT_EQ(core.learner().signature(), kFreshSignature);
+  EXPECT_TRUE(spikes.empty());
+
+  // QUIC flows and flows to other destinations arm no close-out.
+  EXPECT_FALSE(Core::close_out_at(core.open_flow(8, true, kAvsIp, at_ms(0))));
+  EXPECT_FALSE(
+      Core::close_out_at(core.open_flow(9, false, kOtherIp, at_ms(0))));
+}
+
+TEST(RecognitionCore, ProbeMatchesTheSignaturePublishedWhenItsFlowOpened) {
+  Core core{{GuardMode::kMonitor, /*adaptive_signatures=*/true}};
+  core.on_dns(VoiceDomain::kAvs, kAvsIp);
+  std::vector<Spike> spikes;
+  const std::vector<std::uint32_t>& shipped = Core::shipped_signature();
+
+  // A DNS-less reconnect to a new address starts probing the shipped
+  // signature...
+  Core::Flow probe = core.open_flow(1, /*udp=*/false, kAvsIp2, at_ms(0));
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(core.upstream(probe, at_ms(static_cast<std::int64_t>(i)),
+                            shipped[i], true, spikes),
+              0);
+  }
+  // ...while three DNS-identified connections republish another one.
+  teach(core, kFreshSignature, spikes);
+  ASSERT_EQ(core.learner().signature(), kFreshSignature);
+
+  // The probe completes against its snapshot and moves the AVS endpoint.
+  Core::Step last = 0;
+  for (std::size_t i = 4; i < shipped.size(); ++i) {
+    last = core.upstream(probe, at_ms(static_cast<std::int64_t>(i)),
+                         shipped[i], true, spikes);
+  }
+  EXPECT_EQ(last, Core::kAdopted);
+  EXPECT_EQ(probe.kind, Core::Destination::kAvs);
+  EXPECT_EQ(core.avs_ip(), kAvsIp2);
+
+  // A flow opened after the republish probes the new signature instead.
+  Core::Flow late = core.open_flow(2, /*udp=*/false, kOtherIp, at_ms(100));
+  core.upstream(late, at_ms(100), shipped[0], true, spikes);
+  EXPECT_TRUE(late.establishment_done);
+  EXPECT_EQ(late.kind, Core::Destination::kUnmonitored);
+  EXPECT_TRUE(spikes.empty());
+}
+
+TEST(RecognitionCore, ResetForgetsAddressesAndReseedsTheShippedSignature) {
+  Core core{{GuardMode::kVoiceGuard, /*adaptive_signatures=*/true}};
+  core.on_dns(VoiceDomain::kAvs, kAvsIp);
+  core.on_dns(VoiceDomain::kGoogle, kGoogleIp);
+  std::vector<Spike> spikes;
+  teach(core, kFreshSignature, spikes);
+  ASSERT_EQ(core.learner().signature(), kFreshSignature);
+
+  core.reset();  // guard restart
+  EXPECT_TRUE(core.avs_ip().is_unspecified());
+  EXPECT_TRUE(core.google_ip().is_unspecified());
+  EXPECT_EQ(core.destination(kAvsIp), Core::Destination::kUnmonitored);
+  EXPECT_EQ(core.destination(kGoogleIp), Core::Destination::kUnmonitored);
+  EXPECT_EQ(core.learner().signature(), Core::shipped_signature());
+  EXPECT_EQ(core.learner().observations(), 0u);
+  // The next AVS answer is a fresh acquisition.
+  EXPECT_TRUE(core.on_dns(VoiceDomain::kAvs, kAvsIp));
 }
 
 }  // namespace

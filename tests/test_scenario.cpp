@@ -532,6 +532,27 @@ TEST(ScenarioLoader, RejectsBrokenCaptureTimelines) {
                     "kind synthetic needs at least one capture op");
 }
 
+TEST(ScenarioLoader, RejectsCaptureTimesPastTheTraceTimeCap) {
+  // at_ms becomes a trace timestamp in ns, capped at 2^62 ns
+  // (4611686018427 ms): the loader names the op instead of letting the ms ->
+  // ns conversion overflow at run time.
+  const std::string head =
+      "[scenario]\nname = x\nkind = synthetic\n[capture]\n"
+      "flow = tcp 50001 10.0.0.1 443 0\n";
+  expect_load_error(head + "spike = 0 9223372036854 500\n", 6,
+                    "ends at 9223372036854 ms, past the trace time cap "
+                    "(4611686018427 ms = 2^62 ns)");
+  // The op's last record counts, not its first: 3 records 10 ms apart.
+  expect_load_error(head + "spike = 0 4611686018420 500 501 502\n", 6,
+                    "ends at 4611686018440 ms");
+  expect_load_error(head + "signature = 0 4611686018427\n", 6,
+                    "past the trace time cap");
+  expect_load_error(head + "expect = 1 tcp 9223372036854 command none 500\n",
+                    6, "ends at 9223372036854 ms");
+  // Exactly at the cap is fine.
+  EXPECT_NO_THROW(ScenarioLoader::load(head + "tls = 0 up 500 4611686018427\n"));
+}
+
 // ---------------------------------------------------------------------------
 // Serializer: canonical emission the loader parses back into an equal spec.
 

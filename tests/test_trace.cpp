@@ -10,9 +10,12 @@
 
 #include <gtest/gtest.h>
 
+#include "trace/BatchDecoder.h"
+#include "trace/BatchReplayer.h"
 #include "trace/Replayer.h"
 #include "trace/TraceReader.h"
 #include "trace/TraceWriter.h"
+#include "voiceguard/GuardBox.h"
 
 using namespace vg;
 using trace::FrameKind;
@@ -237,9 +240,11 @@ TEST(TraceRoundTrip, WriterRejectsMisuse) {
                            net::Endpoint{kAvs, net::Port{443}}, at_ms(5));
   EXPECT_THROW(w.datagram(f + 1, true, 10, at_ms(6)), TraceError);
   EXPECT_THROW(w.dns_answer(9, kAvs, at_ms(6)), TraceError);
-  // Time must not run backwards.
+  // Time must not run backwards, nor past the trace time cap.
   EXPECT_THROW(w.tls_record(f, true, net::TlsContentType::kApplicationData,
                             10, at_ms(4)),
+               TraceError);
+  EXPECT_THROW(w.datagram(f, true, 10, sim::TimePoint{trace::kMaxTraceNs + 1}),
                TraceError);
   w.finish();
   EXPECT_THROW(w.tls_record(f, true, net::TlsContentType::kApplicationData,
@@ -416,6 +421,74 @@ TEST(TraceCorruption, OverlongVarintRejected) {
                    {0, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
                     0xFF, 0x7F})),
                TraceError);
+}
+
+TEST(TraceCorruption, TimestampPastTheCapRejectedByBothDecoders) {
+  // A DNS answer exactly at the cap, then one more nanosecond: the second
+  // frame's timestamp is past kMaxTraceNs.
+  std::vector<std::uint8_t> b = TraceWriter{small_meta()}.finish();
+  for (const std::uint64_t dt :
+       {static_cast<std::uint64_t>(trace::kMaxTraceNs), std::uint64_t{1}}) {
+    std::vector<std::uint8_t> payload = {2};  // kind = DNS answer
+    trace::put_varint(payload, dt);
+    payload.insert(payload.end(), {0, 1, 0, 0, 10});  // AVS, 10.0.0.1
+    b.push_back(static_cast<std::uint8_t>(payload.size()));
+    b.insert(b.end(), payload.begin(), payload.end());
+    trace::put_u32(b, trace::crc32(payload.data(), payload.size()));
+  }
+  b[trace::kFrameCountOffset] = 2;
+
+  std::string reader_error;
+  std::string decoder_error;
+  try {
+    (void)TraceReader::parse(b);
+  } catch (const TraceError& e) {
+    reader_error = e.what();
+  }
+  try {
+    (void)trace::BatchDecoder::decode(
+        std::span<const std::uint8_t>{b.data(), b.size()});
+  } catch (const TraceError& e) {
+    decoder_error = e.what();
+  }
+  EXPECT_NE(reader_error.find("trace time cap"), std::string::npos)
+      << reader_error;
+  EXPECT_EQ(decoder_error, reader_error);
+}
+
+TEST(TraceRoundTrip, TraceEndingAtTheCapReplaysAlikeInBothEngines) {
+  // A spike opened 100 ms before the cap: its classify deadline lies past
+  // kMaxTraceNs, and the establishment close-out and idle sentinel are
+  // computed from times near it. All stay in range; both engines agree.
+  const sim::TimePoint cap{trace::kMaxTraceNs};
+  const sim::TimePoint t0 = cap - sim::seconds(5);
+  TraceWriter w{small_meta()};
+  w.dns_answer(trace::kDomainAvs, kAvs, t0);
+  const int f = w.add_flow(net::Protocol::kTcp,
+                           net::Endpoint{kSpeaker, net::Port{50001}},
+                           net::Endpoint{kAvs, net::Port{443}}, t0);
+  const auto app = net::TlsContentType::kApplicationData;
+  w.tls_record(f, true, app, 63, t0 + sim::milliseconds(1));
+  w.tls_record(f, true, app, 33, t0 + sim::milliseconds(2));
+  w.tls_record(f, true, app, 300, cap - sim::milliseconds(100));
+  w.tls_record(f, true, app, 400, cap);
+  const std::vector<std::uint8_t> bytes = w.finish();
+
+  const trace::ReplayResult oracle =
+      trace::Replayer{}.run(TraceReader::parse(bytes));
+  const trace::ReplayResult batch =
+      trace::BatchReplayer{}
+          .run(trace::BatchDecoder::decode(
+              std::span<const std::uint8_t>{bytes.data(), bytes.size()}))
+          .to_replay_result();
+  EXPECT_EQ(oracle.end_time, cap);
+  ASSERT_EQ(oracle.spikes.size(), 1u);
+  EXPECT_EQ(oracle.spikes[0].prefix, (std::vector<std::uint32_t>{300, 400}));
+  EXPECT_EQ(oracle.spikes[0].cls, guard::SpikeClass::kUnknown);
+  ASSERT_EQ(batch.spikes.size(), 1u);
+  EXPECT_EQ(batch.spikes[0].start, oracle.spikes[0].start);
+  EXPECT_EQ(batch.spikes[0].prefix, oracle.spikes[0].prefix);
+  EXPECT_EQ(batch.spikes[0].cls, oracle.spikes[0].cls);
 }
 
 TEST(TraceCorruption, BadFaultCodeRejected) {
