@@ -7,15 +7,17 @@
 /// really is the cost of N live homes, not N sequential ones.
 ///
 /// Env knobs: VG_FLEET_HOMES (default 250000), VG_FLEET_SHARDS (default 8),
-/// VG_FLEET_RESIDENT (default 0 = whole shard range resident),
-/// VG_FLEET_PIN (1 = pin workers to cores), VG_FLEET_PARKED (homes in the
-/// parked-footprint probe; 0 skips it, default 20000), VG_FLEET_WAKE_BATCH
-/// (consecutive horizons per calendar pop; default FleetConfig's).
+/// VG_FLEET_RESIDENT (default 0 = whole shard range resident).
+///
+/// Peak RSS is reported two ways. rss_bytes_per_100k_homes divides by every
+/// home the run streamed through; rss_bytes_per_live_home divides by the
+/// homes that can be live at once (resident cap × concurrently running
+/// shards), the figure that does not swing with the run shape.
 ///
 /// Emits a machine-readable line:
 ///   BENCH_JSON {"bench":"fleet",...,"homes_per_sec":...,
 ///               "events_per_sec":...,"rss_bytes_per_100k_homes":...,
-///               "parked_rss_bytes_per_100k_homes":...}
+///               "live_homes":...,"rss_bytes_per_live_home":...}
 
 #include <sys/resource.h>
 
@@ -24,10 +26,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-
-#if defined(__GLIBC__)
-#include <malloc.h>
-#endif
 
 #include "common.h"
 #include "fleet/FleetRunner.h"
@@ -78,28 +76,6 @@ std::uint64_t peak_rss_bytes() {
   return static_cast<std::uint64_t>(u.ru_maxrss) * 1024;  // Linux: KiB
 }
 
-/// Current (not peak) resident set, from /proc/self/statm. The parked probe
-/// needs "what do N hibernated homes hold right now", which ru_maxrss — a
-/// high-water mark — cannot answer.
-std::uint64_t current_rss_bytes() {
-  std::FILE* f = std::fopen("/proc/self/statm", "r");
-  if (f == nullptr) return 0;
-  unsigned long long pages = 0;
-  unsigned long long resident = 0;
-  const int n = std::fscanf(f, "%llu %llu", &pages, &resident);
-  std::fclose(f);
-  if (n != 2) return 0;
-  return static_cast<std::uint64_t>(resident) * 4096;
-}
-
-/// Hands freed heap pages back to the OS so current_rss_bytes() reflects
-/// live objects, not allocator caches (no-op off glibc).
-void release_free_heap() {
-#if defined(__GLIBC__)
-  malloc_trim(0);
-#endif
-}
-
 }  // namespace
 
 int main() {
@@ -107,9 +83,6 @@ int main() {
   const auto shards =
       static_cast<unsigned>(env_u64("VG_FLEET_SHARDS", 8));
   const std::uint64_t resident = env_u64("VG_FLEET_RESIDENT", 0);
-  const bool pin = env_u64("VG_FLEET_PIN", 0) != 0;
-  const std::uint64_t parked_homes =
-      std::min(env_u64("VG_FLEET_PARKED", 20000), homes);
 
   bench::header("Fleet throughput (concurrent homes per box)",
                 "src/fleet/ — wake-calendar scheduling, streaming stats");
@@ -124,8 +97,7 @@ int main() {
       std::chrono::duration<double>(clock::now() - t0).count();
 
   // Parity probe before the timed run: a small slice of the same template,
-  // serial vs sharded vs parked-then-drained. A mismatch is a correctness
-  // bug, not a perf result.
+  // serial vs sharded. A mismatch is a correctness bug, not a perf result.
   {
     const std::uint64_t probe = std::min<std::uint64_t>(homes, 64);
     fleet::FleetConfig pcfg;
@@ -140,22 +112,12 @@ int main() {
                    static_cast<unsigned long long>(probe));
       return 1;
     }
-    fleet::ParkedFleet parked{tmpl, probe};
-    if (!(parked.finish() == serial)) {
-      std::fprintf(stderr,
-                   "FATAL: parked/serial parity broken over %llu homes\n",
-                   static_cast<unsigned long long>(probe));
-      return 1;
-    }
   }
 
   fleet::FleetConfig cfg;
   cfg.homes = homes;
   cfg.shards = shards;
   cfg.max_resident = resident;
-  cfg.pin_threads = pin;
-  cfg.wake_batch = static_cast<std::uint32_t>(
-      env_u64("VG_FLEET_WAKE_BATCH", cfg.wake_batch));
 
   fleet::WakeTelemetry tel;
   const auto t1 = clock::now();
@@ -169,70 +131,49 @@ int main() {
   const std::uint64_t rss = peak_rss_bytes();
   const double rss_per_100k =
       static_cast<double>(rss) * 100000.0 / static_cast<double>(homes);
-
-  // Parked-footprint probe: construct a fresh slice of homes, run each past
-  // its last scripted command, hibernate them all, and measure what they
-  // hold while parked. malloc_trim before each reading so allocator caches
-  // (including the timed run's leftovers) don't masquerade as home state.
-  double parked_per_100k = 0.0;
-  if (parked_homes != 0) {
-    release_free_heap();
-    const std::uint64_t r0 = current_rss_bytes();
-    const fleet::ParkedFleet parked{tmpl, parked_homes};
-    release_free_heap();
-    const std::uint64_t r1 = current_rss_bytes();
-    const std::uint64_t held = r1 > r0 ? r1 - r0 : 0;
-    parked_per_100k = static_cast<double>(held) * 100000.0 /
-                      static_cast<double>(parked.count());
-    std::printf("parked    : %llu home(s) hold %.1f MiB hibernated "
-                "(%.1f KiB/home; trims released %.1f MiB of arena)\n",
-                static_cast<unsigned long long>(parked.count()),
-                static_cast<double>(held) / (1024.0 * 1024.0),
-                static_cast<double>(held) / 1024.0 /
-                    static_cast<double>(parked.count()),
-                static_cast<double>(parked.trim_bytes()) /
-                    (1024.0 * 1024.0));
-  }
+  const std::uint64_t live_homes =
+      tel.resident_cap * std::min<std::uint64_t>(tel.workers, shards);
+  const double rss_per_live_home =
+      static_cast<double>(rss) / static_cast<double>(live_homes);
 
   std::printf("template  : built in %.3f s (testbed + calibration, shared "
               "by all %llu homes)\n",
               template_s, static_cast<unsigned long long>(homes));
-  std::printf("run       : %llu homes, %u shard(s), %u worker(s)%s, "
-              "resident cap %llu/shard\n",
+  std::printf("run       : %llu homes, %u shard(s), %u worker(s), "
+              "resident cap %llu/shard, %llu live home(s) at most\n",
               static_cast<unsigned long long>(homes), shards, tel.workers,
-              pin ? " (pinned)" : "",
-              static_cast<unsigned long long>(tel.resident_cap));
+              static_cast<unsigned long long>(tel.resident_cap),
+              static_cast<unsigned long long>(live_homes));
   std::printf("calendar  : %llu wakes (%.2f/home), %llu empty epochs "
-              "skipped (%.2f/home), %llu hibernation(s)\n",
+              "skipped (%.2f/home)\n",
               static_cast<unsigned long long>(tel.wakes),
               static_cast<double>(tel.wakes) / static_cast<double>(homes),
               static_cast<unsigned long long>(tel.epochs_skipped),
               static_cast<double>(tel.epochs_skipped) /
-                  static_cast<double>(homes),
-              static_cast<unsigned long long>(tel.hibernations));
+                  static_cast<double>(homes));
   std::printf("%s\n", stats.to_string().c_str());
   std::printf("throughput: %9.0f homes/s, %12.0f events/s (%.3f s)\n",
               homes_per_sec, events_per_sec, run_s);
-  std::printf("memory    : peak RSS %.1f MiB, %.1f MiB per 100k homes\n",
+  std::printf("memory    : peak RSS %.1f MiB, %.1f MiB per 100k homes, "
+              "%.1f KiB per live home\n",
               static_cast<double>(rss) / (1024.0 * 1024.0),
-              rss_per_100k / (1024.0 * 1024.0));
+              rss_per_100k / (1024.0 * 1024.0), rss_per_live_home / 1024.0);
 
   std::printf(
       "\nBENCH_JSON {\"bench\":\"fleet\",\"homes\":%llu,\"shards\":%u,"
       "\"resident\":%llu,\"resident_cap\":%llu,\"workers\":%u,"
-      "\"pinned\":%d,\"template_seconds\":%.3f,\"run_seconds\":%.3f,"
+      "\"template_seconds\":%.3f,\"run_seconds\":%.3f,"
       "\"homes_per_sec\":%.0f,\"events_per_sec\":%.0f,"
       "\"wakes_per_home\":%.2f,\"epochs_skipped_per_home\":%.2f,"
-      "\"hibernations\":%llu,"
       "\"rss_bytes\":%llu,\"rss_bytes_per_100k_homes\":%.0f,"
-      "\"parked_rss_bytes_per_100k_homes\":%.0f}\n",
+      "\"live_homes\":%llu,\"rss_bytes_per_live_home\":%.0f}\n",
       static_cast<unsigned long long>(homes), shards,
       static_cast<unsigned long long>(resident),
       static_cast<unsigned long long>(tel.resident_cap), tel.workers,
-      pin ? 1 : 0, template_s, run_s, homes_per_sec, events_per_sec,
+      template_s, run_s, homes_per_sec, events_per_sec,
       static_cast<double>(tel.wakes) / static_cast<double>(homes),
       static_cast<double>(tel.epochs_skipped) / static_cast<double>(homes),
-      static_cast<unsigned long long>(tel.hibernations),
-      static_cast<unsigned long long>(rss), rss_per_100k, parked_per_100k);
+      static_cast<unsigned long long>(rss), rss_per_100k,
+      static_cast<unsigned long long>(live_homes), rss_per_live_home);
   return 0;
 }

@@ -35,15 +35,24 @@ constexpr sim::Duration kEpoch = sim::seconds(10);
 constexpr std::size_t kHomeArenaChunk = 8 * 1024;
 
 /// Path-loss memo slots per owner-device scanner. The 512-slot default is
-/// sized for one long-lived world; a fleet home replays a three-command
-/// script against a handful of positions, and the cache is behaviourally
-/// neutral at any size, so 64 slots (4 KiB vs 32 KiB per scanner) is the
-/// single biggest per-home memory saving.
-constexpr std::size_t kHomeCacheSlots = 64;
+/// sized for one long-lived world that walks its calibration; a fleet home
+/// installs its calibration instead and measures from a handful of teleport
+/// positions. A hit returns the identical double, so the size moves memory
+/// only: 8 slots are 512 B per scanner instead of 32 KiB, which matters for
+/// homes that sit resident through hours of idle drain (EXPERIMENTS.md,
+/// "Why fleet homes do not hibernate").
+constexpr std::size_t kHomeCacheSlots = 8;
+
+/// Consecutive calendar horizons a popped home runs before re-entering the
+/// heap. Homes never interact and the stats fold is order-independent, so
+/// the batch cannot change the merged result; running one hot home several
+/// horizons in a row instead of cycling the whole resident set through the
+/// cache every epoch is a large locality win on event-dense populations.
+constexpr std::uint32_t kWakeBatch = 8;
 
 /// One mutable home: a SmartHomeWorld wired copy-on-write from the shared
 /// template, with its entire script pre-scheduled as events so construction
-/// is allocation + wiring and advance() is the only driver. Strict shard
+/// is allocation + wiring and advance_to() is the only driver. Strict shard
 /// affinity: a FleetHome never leaves the shard (thread) that made it.
 class FleetHome {
  public:
@@ -143,50 +152,11 @@ class FleetHome {
     return target_ >= end_;
   }
 
-  /// Simulates one quantum on the epoch grid — the reference scheduler the
-  /// wake calendar must be indistinguishable from (hibernation-parity tests
-  /// drive this path against the calendar). Returns true at the end.
-  bool advance() {
-    target_ = std::min(target_ + kEpoch, end_);
-    world_->sim().run_until(target_);
-    return target_ >= end_;
-  }
-
   /// Runs to the end in one go (the serial reference path), wake to wake.
   void run_to_end() {
     while (!advance_to(next_wake())) {
     }
   }
-
-  /// Parks the home between distant wakes: trims the arena's unreachable
-  /// chunks, shrinks the event-queue slab, and drops the owner devices'
-  /// path-loss memo tables (each lazily re-grown on the next query). Pure
-  /// memory action; returns the total bytes released.
-  std::size_t hibernate() {
-    std::size_t freed = world_->sim().trim_memory();
-    for (int i = 0; i < world_->owner_count(); ++i) {
-      radio::PropagationCache& cache = world_->device(i).propagation_cache();
-      freed += cache.table_bytes();
-      cache.park();
-    }
-    return freed;
-  }
-
-  /// The grid horizon just past the last scripted command — the "parked"
-  /// point ParkedFleet advances to: the script has fully run, only drain
-  /// maintenance (heartbeats, keepalives) remains.
-  [[nodiscard]] sim::TimePoint park_horizon() const {
-    sim::TimePoint last = sim::TimePoint{} + kBoot;
-    for (const scenario::CommandStep& c : spec_.schedule.commands) {
-      const sim::TimePoint at = sim::TimePoint{} + kBoot + c.at;
-      if (at > last) last = at;
-    }
-    const std::int64_t k = last.ns() / kEpoch.ns() + 1;
-    return std::min(sim::TimePoint{} + kEpoch * k, end_);
-  }
-
-  [[nodiscard]] sim::TimePoint horizon() const { return target_; }
-  [[nodiscard]] sim::TimePoint end() const { return end_; }
 
   /// Folds this finished home into \p acc and releases nothing: the caller
   /// destroys the home, freeing its world before the next one is admitted.
@@ -273,12 +243,10 @@ struct ShardResult {
 /// the calendar's earliest-wake-first order (vs the old round-robin) leaves
 /// the merged result bit-identical.
 ShardResult run_range(const WorldTemplate& tmpl, std::uint64_t begin,
-                      std::uint64_t end, std::uint64_t max_resident,
-                      sim::Duration hibernate_gap, std::uint32_t wake_batch) {
+                      std::uint64_t end, std::uint64_t max_resident) {
   ShardResult out;
   const std::uint64_t cap =
       max_resident == 0 ? (end > begin ? end - begin : 1) : max_resident;
-  const std::uint32_t batch = wake_batch == 0 ? 1 : wake_batch;
   out.tel.resident_cap = cap;
   std::vector<Resident> calendar;
   calendar.reserve(static_cast<std::size_t>(
@@ -297,15 +265,9 @@ ShardResult run_range(const WorldTemplate& tmpl, std::uint64_t begin,
     std::pop_heap(calendar.begin(), calendar.end(), LaterWake{});
     Resident r = std::move(calendar.back());
     calendar.pop_back();
-    // Run up to `batch` consecutive horizons before re-entering the heap.
-    // Homes never interact and the stats fold is order-independent, so how
-    // many horizons one home runs per pop cannot change the merged result —
-    // but touching a hot home `batch` times in a row instead of cycling the
-    // whole resident set through the cache per epoch is a large locality win
-    // on event-dense populations.
     bool finished = false;
     sim::TimePoint wake = r.wake;
-    for (std::uint32_t b = 0; b < batch; ++b) {
+    for (std::uint32_t b = 0; b < kWakeBatch; ++b) {
       ++out.tel.wakes;
       out.tel.epochs_skipped += r.home->epochs_skipped_to(wake);
       if (r.home->advance_to(wake)) {
@@ -319,12 +281,6 @@ ShardResult run_range(const WorldTemplate& tmpl, std::uint64_t begin,
       r.home.reset();  // free the world before admitting its replacement
       admit();
       continue;
-    }
-    // Hibernate when the gap from the last executed horizon to the next
-    // pending wake is long enough for the slab savings to pay off.
-    if (hibernate_gap.ns() > 0 && wake - r.home->horizon() >= hibernate_gap) {
-      out.tel.trim_bytes += r.home->hibernate();
-      ++out.tel.hibernations;
     }
     r.wake = wake;
     calendar.push_back(std::move(r));
@@ -347,39 +303,6 @@ void validate_fleet_config(const FleetConfig& cfg, std::uint64_t homes) {
   if (cfg.shards == 0) {
     throw std::invalid_argument{"fleet: shards must be >= 1"};
   }
-  if (cfg.ranges.empty()) return;
-
-  if (cfg.ranges.size() != cfg.shards) {
-    throw std::invalid_argument{
-        "fleet: explicit ranges must give exactly one [begin, end) per shard"};
-  }
-  auto sorted = cfg.ranges;
-  std::sort(sorted.begin(), sorted.end());
-  std::uint64_t covered = 0;
-  for (std::size_t i = 0; i < sorted.size(); ++i) {
-    const auto& [b, e] = sorted[i];
-    if (b >= e) {
-      throw std::invalid_argument{"fleet: empty or inverted home range [" +
-                                  std::to_string(b) + ", " +
-                                  std::to_string(e) + ")"};
-    }
-    if (e > homes) {
-      throw std::invalid_argument{"fleet: home range [" + std::to_string(b) +
-                                  ", " + std::to_string(e) +
-                                  ") exceeds the population of " +
-                                  std::to_string(homes)};
-    }
-    if (i > 0 && b < sorted[i - 1].second) {
-      throw std::invalid_argument{"fleet: overlapping home ranges at home " +
-                                  std::to_string(b)};
-    }
-    covered += e - b;
-  }
-  if (covered != homes) {
-    throw std::invalid_argument{
-        "fleet: ranges cover " + std::to_string(covered) + " of " +
-        std::to_string(homes) + " homes (every home must run exactly once)"};
-  }
 }
 
 AggregateStats run_fleet(const WorldTemplate& tmpl, const FleetConfig& cfg,
@@ -387,25 +310,16 @@ AggregateStats run_fleet(const WorldTemplate& tmpl, const FleetConfig& cfg,
   const std::uint64_t homes = cfg.homes != 0 ? cfg.homes : tmpl.homes();
   validate_fleet_config(cfg, homes);
 
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> ranges = cfg.ranges;
-  if (ranges.empty()) {
-    ranges.reserve(cfg.shards);
-    for (unsigned s = 0; s < cfg.shards; ++s) {
-      ranges.emplace_back(homes * s / cfg.shards,
-                          homes * (s + 1) / cfg.shards);
-    }
-  }
-
   const unsigned workers =
       cfg.workers != 0
           ? cfg.workers
           : std::min<unsigned>(cfg.shards,
                                std::max(1u, std::thread::hardware_concurrency()));
-  sim::BatchRunner pool{workers, cfg.pin_threads};
+  sim::BatchRunner pool{workers};
   const std::vector<ShardResult> per_shard = pool.map<ShardResult>(
-      ranges.size(), [&](std::size_t s) {
-        return run_range(tmpl, ranges[s].first, ranges[s].second,
-                         cfg.max_resident, cfg.hibernate_gap, cfg.wake_batch);
+      cfg.shards, [&](std::size_t s) {
+        return run_range(tmpl, homes * s / cfg.shards,
+                         homes * (s + 1) / cfg.shards, cfg.max_resident);
       });
 
   AggregateStats total;
@@ -427,50 +341,6 @@ AggregateStats run_fleet_serial(const WorldTemplate& tmpl, std::uint64_t first,
     home.run_to_end();
     home.finish(acc);
   }
-  return acc;
-}
-
-struct ParkedFleet::Impl {
-  std::vector<std::unique_ptr<FleetHome>> homes;
-  std::uint64_t trim_bytes{0};
-};
-
-ParkedFleet::ParkedFleet(const WorldTemplate& tmpl, std::uint64_t count)
-    : impl_(std::make_unique<Impl>()) {
-  impl_->homes.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    auto home = std::make_unique<FleetHome>(tmpl, i);
-    // Drive the home past its last scripted command on the same wake grid
-    // the fleet loop uses, then hibernate it: this is the steady state a
-    // long-drain population spends most of its life in.
-    const sim::TimePoint park = home->park_horizon();
-    while (true) {
-      const sim::TimePoint wake = home->next_wake();
-      if (wake > park) break;
-      if (home->advance_to(wake)) break;
-    }
-    impl_->trim_bytes += home->hibernate();
-    impl_->homes.push_back(std::move(home));
-  }
-}
-
-ParkedFleet::~ParkedFleet() = default;
-
-std::uint64_t ParkedFleet::count() const {
-  return static_cast<std::uint64_t>(impl_->homes.size());
-}
-
-std::uint64_t ParkedFleet::trim_bytes() const { return impl_->trim_bytes; }
-
-AggregateStats ParkedFleet::finish() {
-  AggregateStats acc;
-  for (auto& home : impl_->homes) {
-    if (home == nullptr) continue;
-    home->run_to_end();
-    home->finish(acc);
-    home.reset();
-  }
-  impl_->homes.clear();
   return acc;
 }
 

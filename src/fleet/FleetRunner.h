@@ -1,13 +1,9 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <utility>
-#include <vector>
 
 #include "fleet/AggregateStats.h"
 #include "fleet/WorldTemplate.h"
-#include "simcore/Time.h"
 
 /// \file FleetRunner.h
 /// Runs a population of homes instantiated from one WorldTemplate across
@@ -25,46 +21,27 @@
 /// of an empty run_until per epoch, and the horizons that do run are exactly
 /// the horizons the plain epoch round-robin would have run — skipped spans
 /// are provably event-free — so the event/RNG interleaving is bit-identical
-/// to the round-robin loop (hibernation-parity tests pin this).
+/// to the round-robin loop (the FleetPins literals pin it).
 ///
 /// Memory model: a shard keeps at most max_resident homes constructed at a
-/// time (0 = its whole range), each on its own small-chunk arena; results are
-/// streamed into the shard's stats as homes finish. A resident home whose
-/// next wake is at least hibernate_gap away parks: its arena trims
-/// unreachable chunks, its event queue shrinks its slab, and its scanners
-/// drop their path-loss memo tables (all lazily re-grown — memory-only, so
-/// parity is untouched). Nothing is O(homes) but the loop counter.
+/// time (0 = its whole range), each on its own 8 KiB-chunk arena with
+/// 8-slot scanner path-loss memos; results are streamed into the shard's
+/// stats as homes finish. An idle home keeps what it holds until it
+/// finishes. Nothing is O(homes) but the loop counter.
 
 namespace vg::fleet {
 
 struct FleetConfig {
   /// Homes to run; 0 means "whatever the template's population declares".
   std::uint64_t homes{0};
-  /// Shards (independent home ranges). Fanned across BatchRunner workers.
+  /// Shards (contiguous, even home ranges). Fanned across BatchRunner
+  /// workers.
   unsigned shards{1};
   /// Worker threads; 0 = min(shards, hardware_concurrency).
   unsigned workers{0};
   /// Concurrently-resident homes per shard; 0 = the shard's entire range at
   /// once (true fleet concurrency — bench_fleet's default).
   std::uint64_t max_resident{0};
-  /// Optional explicit [begin, end) home ranges, one per shard. Empty =
-  /// contiguous even split. Must partition [0, homes) exactly.
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> ranges;
-  /// Opt-in worker→core pinning for the shard pool (sim::BatchRunner) — a
-  /// placement hint toward NUMA-aware shard affinity; bit-identical results
-  /// either way.
-  bool pin_threads{false};
-  /// A resident home whose next wake is at least this far past its current
-  /// horizon hibernates (arena trim + queue shrink + scanner-memo park).
-  /// Memory-only, so any value — including 0 = never hibernate — produces
-  /// bit-identical stats.
-  sim::Duration hibernate_gap = sim::seconds(20);
-  /// Consecutive calendar horizons a popped home runs before re-entering the
-  /// heap. A pure locality knob: homes never interact and the stats fold is
-  /// order-independent, so any value ≥ 1 is bit-identical (0 is treated as
-  /// 1); larger batches keep one home's world hot in cache instead of
-  /// cycling the whole resident set through it every epoch.
-  std::uint32_t wake_batch{8};
 
   /// Backstop against typo'd populations; far above the bench scale.
   static constexpr std::uint64_t kMaxHomes = 4'000'000;
@@ -76,14 +53,12 @@ struct FleetConfig {
 /// but resident caps and worker counts are run-shape, not results).
 struct WakeTelemetry {
   /// run_until horizons actually executed (one per horizon, possibly
-  /// several per heap pop under FleetConfig::wake_batch).
+  /// several per heap pop).
   std::uint64_t wakes{0};
   /// Empty 10 s epoch quanta the calendar skipped wholesale.
   std::uint64_t epochs_skipped{0};
-  /// Hibernations entered (a home can hibernate more than once).
+  /// Always 0 (homes never hibernate); kept only because perfbench reads them.
   std::uint64_t hibernations{0};
-  /// Bytes released by hibernations (arena chunk trims, event-queue slab
-  /// slack, parked path-loss memo tables).
   std::uint64_t trim_bytes{0};
   /// Resolved worker count the pool actually ran with.
   unsigned workers{0};
@@ -94,17 +69,14 @@ struct WakeTelemetry {
   void merge(const WakeTelemetry& o) {
     wakes += o.wakes;
     epochs_skipped += o.epochs_skipped;
-    hibernations += o.hibernations;
-    trim_bytes += o.trim_bytes;
     workers = workers > o.workers ? workers : o.workers;
     resident_cap = resident_cap > o.resident_cap ? resident_cap : o.resident_cap;
   }
 };
 
 /// Validates \p cfg against a population of \p homes homes. Throws
-/// std::invalid_argument naming the violated constraint (zero shards, home
-/// count out of bounds, ranges that are empty/inverted/overlapping/gapped or
-/// out of bounds).
+/// std::invalid_argument naming the violated constraint (zero shards or a
+/// home count out of bounds).
 void validate_fleet_config(const FleetConfig& cfg, std::uint64_t homes);
 
 /// Runs the fleet: shards fan across a BatchRunner pool, each shard streams
@@ -119,35 +91,6 @@ AggregateStats run_fleet(const WorldTemplate& tmpl, const FleetConfig& cfg,
 /// run_fleet over the same homes at any shard count.
 AggregateStats run_fleet_serial(const WorldTemplate& tmpl, std::uint64_t first,
                                 std::uint64_t count);
-
-/// A population of homes advanced past their last scripted command and
-/// hibernated — the steady "parked" state whose per-home footprint
-/// bench_fleet reports as parked_rss_bytes_per_100k_homes. The homes stay
-/// alive until the ParkedFleet is destroyed (or finished), so the caller can
-/// measure the resident cost of N parked homes directly. finish() doubles as
-/// a parity probe: waking every parked home, draining it and folding it must
-/// reproduce the straight-run stats bit-for-bit.
-class ParkedFleet {
- public:
-  ParkedFleet(const WorldTemplate& tmpl, std::uint64_t count);
-  ~ParkedFleet();
-
-  ParkedFleet(const ParkedFleet&) = delete;
-  ParkedFleet& operator=(const ParkedFleet&) = delete;
-
-  [[nodiscard]] std::uint64_t count() const;
-  /// Bytes released when the homes hibernated (arena trims, queue slab
-  /// slack, parked memo tables).
-  [[nodiscard]] std::uint64_t trim_bytes() const;
-
-  /// Wakes every home, runs it to its end and folds it into the returned
-  /// stats, destroying it. Equals run_fleet_serial over the same homes.
-  AggregateStats finish();
-
- private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
-};
 
 /// Installs the fleet parity check into the scenario fuzzer
 /// (workload::set_population_check): scripted specs carrying a [population]

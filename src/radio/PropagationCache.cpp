@@ -31,9 +31,6 @@ PropagationCache::PropagationCache(const FloorPlan& plan, PathLossParams params,
 }
 
 double PropagationCache::mean_rssi(Vec3 tx, Vec3 rx) {
-  // Lazy re-grow after park(): fresh slots are epoch-0 (empty), so the first
-  // queries after waking simply miss and recompute the identical means.
-  if (slots_.empty()) slots_.resize(mask_ + 1);
   if (plan_.epoch() != plan_epoch_) {
     plan_epoch_ = plan_.epoch();
     ++epoch_;

@@ -51,19 +51,6 @@ class PropagationCache {
   /// Drops every cached entry (epoch bump; O(1)).
   void invalidate() { ++epoch_; }
 
-  /// Hibernation hook: frees the slot table entirely; the next query grows
-  /// it back lazily at the same size. Memory-only — re-grown entries memoize
-  /// the same deterministic means, so sample streams are unchanged.
-  void park() {
-    slots_.clear();
-    slots_.shrink_to_fit();
-  }
-
-  /// Bytes currently held by the slot table (0 while parked).
-  [[nodiscard]] std::size_t table_bytes() const {
-    return slots_.capacity() * sizeof(Slot);
-  }
-
   [[nodiscard]] const FloorPlan& plan() const { return plan_; }
   [[nodiscard]] const PathLossParams& params() const { return params_; }
 

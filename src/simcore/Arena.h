@@ -25,6 +25,9 @@
 ///     when no arena-backed object is live (TrialRunner resets before
 ///     constructing the next SmartHomeWorld).
 ///
+/// Chunks go back to the global allocator only when the Arena is destroyed;
+/// a fleet home's arena goes with the home when it finishes.
+///
 /// An Arena is single-threaded by design — each Simulation (and thus each
 /// BatchRunner worker) owns or borrows its own; arenas are never shared
 /// across threads.
@@ -45,7 +48,13 @@ class Arena {
   /// Fleet runs keep tens of thousands of small arenas alive at once; an 8 KiB
   /// chunk there costs ~1/8 the resident memory of the 64 KiB default.
   explicit Arena(std::size_t chunk) : chunk_(chunk < kMinBlock ? kMinBlock : chunk) {}
-  ~Arena() { release(); }
+  ~Arena() {
+    for (Chunk* c = chunks_; c != nullptr;) {
+      Chunk* next = c->next;
+      ::operator delete(static_cast<void*>(c));
+      c = next;
+    }
+  }
 
   Arena(const Arena&) = delete;
   Arena& operator=(const Arena&) = delete;
@@ -93,41 +102,6 @@ class Arena {
     cursor_ = cursor_chunk_ != nullptr ? cursor_chunk_->begin() : nullptr;
     cursor_end_ = cursor_chunk_ != nullptr ? cursor_chunk_->end() : nullptr;
     used_ = 0;
-  }
-
-  /// Releases slack capacity back to the global allocator; the hibernation
-  /// half of the fleet's memory story (reset() deliberately keeps chunks
-  /// mapped for episode reuse — trim() is for arenas that will sit idle).
-  /// Chunks strictly after the bump cursor hold no block handed out this
-  /// episode and are freed; when nothing is live at all (used_bytes() == 0,
-  /// e.g. right after reset()) every chunk goes and the free-list bins are
-  /// cleared with them. Binned free blocks inside chunks at or before the
-  /// cursor are left alone — they sit interleaved with live data (the cursor
-  /// only ever advances within an episode, so no bin can point past it).
-  /// Returns the number of bytes released.
-  std::size_t trim() noexcept {
-    if (used_ == 0) {
-      const std::size_t freed = reserved_;
-      release();
-      for (auto& bin : bins_) bin = nullptr;
-      reserved_ = 0;
-      chunk_count_ = 0;
-      return freed;
-    }
-    if (cursor_chunk_ == nullptr) return 0;
-    Chunk* c = cursor_chunk_->next;
-    cursor_chunk_->next = nullptr;
-    tail_ = cursor_chunk_;
-    std::size_t freed = 0;
-    while (c != nullptr) {
-      Chunk* next = c->next;
-      freed += c->capacity;
-      reserved_ -= c->capacity;
-      --chunk_count_;
-      ::operator delete(static_cast<void*>(c));
-      c = next;
-    }
-    return freed;
   }
 
   /// Bytes currently handed out (binned blocks count at bin granularity).
@@ -204,17 +178,6 @@ class Arena {
     cursor_chunk_ = c;
     cursor_ = c->begin();
     cursor_end_ = c->end();
-  }
-
-  void release() noexcept {
-    Chunk* c = chunks_;
-    while (c != nullptr) {
-      Chunk* next = c->next;
-      ::operator delete(static_cast<void*>(c));
-      c = next;
-    }
-    chunks_ = tail_ = cursor_chunk_ = nullptr;
-    cursor_ = cursor_end_ = nullptr;
   }
 
   Chunk* chunks_{nullptr};

@@ -2,32 +2,7 @@
 
 #include <algorithm>
 
-#ifdef __linux__
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 namespace vg::sim {
-
-namespace {
-
-/// Best-effort affinity: pins \p t to CPU \p cpu, returns whether it stuck.
-/// Placement is a performance hint, never a correctness requirement, so a
-/// failure (cgroup-restricted CPU set, exotic libc) is silently tolerated.
-bool pin_to_cpu(std::thread& t, unsigned cpu) {
-#ifdef __linux__
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(cpu, &set);
-  return pthread_setaffinity_np(t.native_handle(), sizeof(set), &set) == 0;
-#else
-  (void)t;
-  (void)cpu;
-  return false;
-#endif
-}
-
-}  // namespace
 
 /// One dispatched batch: an index cursor workers pull from, plus completion
 /// bookkeeping. Lives on the caller's stack for the duration of run().
@@ -40,18 +15,13 @@ struct BatchRunner::Batch {
   std::condition_variable done_cv;
 };
 
-BatchRunner::BatchRunner(unsigned workers, bool pin_threads) {
+BatchRunner::BatchRunner(unsigned workers) {
   if (workers == 0) {
     workers = std::max(1u, std::thread::hardware_concurrency());
   }
-  const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
   threads_.reserve(workers);
-  pinned_ = pin_threads;
   for (unsigned i = 0; i < workers; ++i) {
     threads_.emplace_back([this] { worker_loop(); });
-    if (pin_threads && !pin_to_cpu(threads_.back(), i % cores)) {
-      pinned_ = false;
-    }
   }
 }
 

@@ -24,11 +24,7 @@ namespace vg::sim {
 class BatchRunner {
  public:
   /// \param workers number of pool threads; 0 means hardware_concurrency().
-  /// \param pin_threads opt-in worker→core pinning: worker i gets CPU
-  ///   affinity {i mod cores}. A placement hint only (first step toward
-  ///   NUMA-aware shard placement): results are bit-identical either way,
-  ///   and on platforms without sched affinity the flag is ignored.
-  explicit BatchRunner(unsigned workers = 0, bool pin_threads = false);
+  explicit BatchRunner(unsigned workers = 0);
   ~BatchRunner();
 
   BatchRunner(const BatchRunner&) = delete;
@@ -37,9 +33,6 @@ class BatchRunner {
   [[nodiscard]] unsigned worker_count() const {
     return static_cast<unsigned>(threads_.size());
   }
-
-  /// Whether worker→core pinning was requested and applied to every worker.
-  [[nodiscard]] bool pinned() const { return pinned_; }
 
   /// Runs job(0) .. job(n-1) across the pool; blocks until all complete.
   /// If any job throws, the first exception (in completion order) is
@@ -67,7 +60,6 @@ class BatchRunner {
   std::condition_variable cv_;
   Batch* batch_{nullptr};  // currently dispatched batch, if any
   bool stop_{false};
-  bool pinned_{false};
 };
 
 }  // namespace vg::sim

@@ -24,7 +24,6 @@ EventId EventQueue::schedule(TimePoint when, Callback cb) {
   } else {
     idx = static_cast<std::uint32_t>(slots_.size());
     slots_.emplace_back();
-    slots_.back().gen = gen_floor_;
   }
   Slot& slot = slots_[idx];
   slot.cb = std::move(cb);
@@ -78,39 +77,6 @@ std::optional<TimePoint> EventQueue::peek() const {
   self->skip_stale();
   if (heap_.empty()) return std::nullopt;
   return heap_.front().when;
-}
-
-std::size_t EventQueue::shrink() {
-  const std::size_t before = heap_.capacity() * sizeof(HeapEntry) +
-                             slots_.capacity() * sizeof(Slot) +
-                             free_slots_.capacity() * sizeof(std::uint32_t);
-  // Purge stale heap entries unconditionally (maybe_compact's threshold is
-  // tuned for churn, not for parking) and give back the slack.
-  heap_.erase(std::remove_if(heap_.begin(), heap_.end(),
-                             [this](const HeapEntry& e) { return stale(e); }),
-              heap_.end());
-  std::make_heap(heap_.begin(), heap_.end(), Later{});
-  stale_in_heap_ = 0;
-  heap_.shrink_to_fit();
-
-  // Drop trailing free slots. Only slots on the free list may go — a live
-  // slot's index is embedded in heap entries and EventIds and must not move.
-  std::vector<char> is_free(slots_.size(), 0);
-  for (const std::uint32_t idx : free_slots_) is_free[idx] = 1;
-  while (!slots_.empty() && is_free[slots_.size() - 1] != 0) {
-    gen_floor_ = std::max(gen_floor_, slots_.back().gen);
-    slots_.pop_back();
-  }
-  free_slots_.erase(
-      std::remove_if(free_slots_.begin(), free_slots_.end(),
-                     [this](std::uint32_t idx) { return idx >= slots_.size(); }),
-      free_slots_.end());
-  slots_.shrink_to_fit();
-  free_slots_.shrink_to_fit();
-  const std::size_t after = heap_.capacity() * sizeof(HeapEntry) +
-                            slots_.capacity() * sizeof(Slot) +
-                            free_slots_.capacity() * sizeof(std::uint32_t);
-  return before > after ? before - after : 0;
 }
 
 TimePoint EventQueue::next_time() const {

@@ -18,6 +18,7 @@
 ///  - Callbacks live in a slot table indexed by a reusable slot id; each slot
 ///    carries a generation counter bumped on release, so an EventId from a
 ///    fired/cancelled event can never alias a later event in the same slot.
+///    Slots are reused but never dropped, so a slot's generation only grows.
 ///  - The time-ordered heap holds only POD entries (when, seq, slot, gen);
 ///    sift operations never move callbacks.
 ///  - cancel() is O(1): it releases the slot and leaves a stale heap entry
@@ -58,15 +59,6 @@ class EventQueue {
   /// it to prove a run_until horizon would execute no events at all and skip
   /// it wholesale.
   [[nodiscard]] std::optional<TimePoint> peek() const;
-
-  /// Releases slack capacity back to the allocator: purges stale heap
-  /// entries, drops trailing free slots, and shrinks every internal vector to
-  /// its live size. Outstanding EventIds stay valid (live slots never move;
-  /// handles to fired/cancelled events in dropped slots remain dead no-ops —
-  /// reborn slots start past the dropped generation so no handle can alias).
-  /// Intended for parked simulations; costs a few reallocations on the next
-  /// growth, nothing else. Returns the capacity bytes given back.
-  std::size_t shrink();
 
   /// Removes and returns the earliest live event. Requires !empty().
   struct Fired {
@@ -114,10 +106,6 @@ class EventQueue {
   std::size_t live_count_{0};
   std::size_t stale_in_heap_{0};
   std::uint64_t next_seq_{0};
-  /// Starting generation for slots created after a shrink: at least one past
-  /// every generation a dropped slot ever handed out, so a stale EventId can
-  /// never alias an event scheduled into a reborn slot index.
-  std::uint32_t gen_floor_{1};
 };
 
 }  // namespace vg::sim

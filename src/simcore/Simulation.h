@@ -81,19 +81,6 @@ class Simulation {
     return queue_.peek();
   }
 
-  /// Releases slack memory while the simulation is parked between distant
-  /// events: shrinks the event queue's slabs and trims the owned arena's
-  /// unreachable chunks (a borrowed arena belongs to its lender and is left
-  /// alone). Pure memory action — allocation never feeds back into event
-  /// order or RNG draws, so a trimmed and an untrimmed run of the same seed
-  /// stay bit-identical. Returns the total bytes released (queue slab slack
-  /// plus trimmed arena chunks).
-  std::size_t trim_memory() {
-    std::size_t freed = queue_.shrink();
-    if (owned_arena_ != nullptr) freed += owned_arena_->trim();
-    return freed;
-  }
-
   /// Runs events until the queue drains or the clock passes \p until.
   /// Events scheduled exactly at \p until still run. Returns the number of
   /// events executed.

@@ -76,80 +76,6 @@ TEST(Arena, ResetKeepsChunksMapped) {
 }
 
 // ---------------------------------------------------------------------------
-// Arena::trim(): hibernation gives unreachable chunks back to the OS
-// ---------------------------------------------------------------------------
-
-TEST(Arena, TrimReleasesChunksPastTheCursor) {
-  sim::Arena arena{4096};
-  // Grow a multi-chunk arena, then rewind usage into the first chunk so the
-  // tail chunks are provably unreachable (the cursor never moves backwards
-  // within an episode, so nothing past it can hold a live block).
-  for (int i = 0; i < 12; ++i) (void)arena.allocate(2048);
-  const std::size_t grown_chunks = arena.chunk_count();
-  const std::size_t grown_reserved = arena.reserved_bytes();
-  ASSERT_GT(grown_chunks, 2u);
-
-  arena.reset();
-  void* live = arena.allocate(64);  // cursor back in chunk 0
-  ASSERT_NE(live, nullptr);
-
-  const std::size_t freed = arena.trim();
-  EXPECT_GT(freed, 0u);
-  EXPECT_EQ(arena.reserved_bytes(), grown_reserved - freed);
-  EXPECT_LT(arena.chunk_count(), grown_chunks);
-  EXPECT_GT(arena.used_bytes(), 0u);  // the live block survived
-
-  // The arena still works after the trim: it re-grows on demand.
-  for (int i = 0; i < 12; ++i) (void)arena.allocate(2048);
-  EXPECT_GE(arena.reserved_bytes(), grown_reserved - freed);
-}
-
-TEST(Arena, TrimOnEmptyArenaReleasesEverything) {
-  sim::Arena arena{4096};
-  for (int i = 0; i < 8; ++i) (void)arena.allocate(2048);
-  arena.reset();
-  const std::size_t reserved = arena.reserved_bytes();
-  ASSERT_GT(reserved, 0u);
-
-  const std::size_t freed = arena.trim();
-  EXPECT_EQ(freed, reserved);
-  EXPECT_EQ(arena.reserved_bytes(), 0u);
-  EXPECT_EQ(arena.chunk_count(), 0u);
-  EXPECT_EQ(arena.used_bytes(), 0u);
-
-  // And it comes back to life on the next allocation.
-  void* p = arena.allocate(128);
-  ASSERT_NE(p, nullptr);
-  EXPECT_EQ(arena.chunk_count(), 1u);
-}
-
-TEST(Arena, SteadyEpisodesAfterTrimStayAllocationFree) {
-  sim::Arena arena{4096};
-  auto episode = [&arena] {
-    for (int i = 0; i < 12; ++i) (void)arena.allocate(2048);
-  };
-  episode();
-  arena.reset();
-  (void)arena.trim();  // empty arena: full release
-
-  // Episode after the trim re-acquires its chunks once...
-  episode();
-  arena.reset();
-  const std::size_t reserved = arena.reserved_bytes();
-
-  // ...and from then on identical episodes run inside retained chunks with
-  // zero global allocations, exactly like the no-trim steady state.
-  const std::size_t allocs = testutil::allocations_during([&] {
-    for (int i = 0; i < 3; ++i) {
-      episode();
-      arena.reset();
-    }
-  });
-  EXPECT_EQ(allocs, 0u);
-  EXPECT_EQ(arena.reserved_bytes(), reserved);
-}
-
-// ---------------------------------------------------------------------------
 // ArenaAlloc: the allocator handle
 // ---------------------------------------------------------------------------
 

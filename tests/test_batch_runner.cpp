@@ -64,25 +64,6 @@ TEST(BatchRunner, DefaultWorkerCountIsHardwareConcurrency) {
   EXPECT_GE(pool.worker_count(), 1u);
 }
 
-TEST(BatchRunner, PinnedPoolProducesIdenticalResults) {
-  // Core pinning is a placement hint: same jobs, same results, and pinned()
-  // reports whether every worker actually landed on its CPU (it may not in
-  // restricted cpusets — either way the results cannot move).
-  sim::BatchRunner plain{3};
-  sim::BatchRunner pinned{3, /*pin_threads=*/true};
-  EXPECT_FALSE(plain.pinned());
-  const auto a = plain.map<int>(64, [](std::size_t i) {
-    return static_cast<int>(i * 31 + 7);
-  });
-  const auto b = pinned.map<int>(64, [](std::size_t i) {
-    return static_cast<int>(i * 31 + 7);
-  });
-  EXPECT_EQ(a, b);
-#if defined(__linux__)
-  EXPECT_TRUE(pinned.pinned());
-#endif
-}
-
 // ---------------------------------------------------------------------------
 // Serial / parallel parity: the same trial matrix must produce bit-identical
 // per-trial results through the pool and on a single thread.

@@ -113,6 +113,7 @@ expect 2 "$VGSCN" run --seed
 expect 2 "$VGSCN" gen not-a-number
 expect 2 "$VGSCN" fleet
 expect 2 "$VGSCN" fleet "$TMP/pop.scn" --homes 0
+expect 2 "$VGSCN" fleet "$TMP/pop.scn" --homes 4000001
 expect 2 "$VGSCN" fleet "$TMP/pop.scn" --shards 0
 expect 2 "$VGSCN" fleet "$TMP/pop.scn" --frobnicate
 expect 2 "$VGSCN" fleet "$TMP/pop.scn" --resident

@@ -203,7 +203,7 @@ TEST(EventQueue, DefaultEventIdCancelIsNoop) {
 }
 
 // ---------------------------------------------------------------------------
-// EventQueue: peek() and shrink() — the wake-calendar / hibernation hooks
+// EventQueue: peek() — the wake-calendar hook
 // ---------------------------------------------------------------------------
 
 TEST(EventQueue, PeekReportsEarliestPendingAndSkipsCancelled) {
@@ -235,67 +235,6 @@ TEST(EventQueue, PeekDoesNotPerturbFireOrder) {
     q.pop().cb();
   }
   EXPECT_EQ(order, (std::vector<int>{7, 6, 5, 4, 3, 2, 1, 0}));
-}
-
-TEST(EventQueue, ShrinkDropsSlabAndKeepsLiveEvents) {
-  EventQueue q;
-  // Blow the slot table and heap up with churn, leaving a few live events.
-  std::vector<EventId> ids;
-  for (int i = 0; i < 2000; ++i) {
-    ids.push_back(q.schedule(TimePoint{1000 + i}, [] {}));
-  }
-  int fired = 0;
-  // Keep the ten earliest alive; the rest free their slots, leaving a long
-  // free tail for shrink() to drop (live slots never move, so only trailing
-  // free slots are reclaimable).
-  for (std::size_t i = 10; i < ids.size(); ++i) q.cancel(ids[i]);
-  const std::size_t fat_slots = q.slot_count();
-  ASSERT_GE(fat_slots, 2000u);
-
-  q.shrink();
-  EXPECT_LE(q.slot_count(), 10u);
-  EXPECT_EQ(q.heap_size(), q.size());  // no stale entries survive a shrink
-
-  while (!q.empty()) {
-    q.pop().cb();
-    ++fired;
-  }
-  EXPECT_EQ(fired, 10);
-}
-
-TEST(EventQueue, StaleIdCannotCancelRebornSlotAfterShrink) {
-  EventQueue q;
-  // Fill and free a tall slot table so shrink() drops trailing slots.
-  std::vector<EventId> ids;
-  for (int i = 0; i < 512; ++i) {
-    ids.push_back(q.schedule(TimePoint{10 + i}, [] {}));
-  }
-  // Keep slot 0's event alive so the queue stays non-trivial; cancel the rest.
-  for (std::size_t i = 1; i < ids.size(); ++i) q.cancel(ids[i]);
-  q.shrink();
-
-  // New events reuse the dropped index range. The old (pre-shrink) handles
-  // must not alias them: generations restart past every dropped generation.
-  bool reborn_fired = false;
-  q.schedule(TimePoint{5}, [&] { reborn_fired = true; });
-  for (std::size_t i = 1; i < ids.size(); ++i) q.cancel(ids[i]);  // all stale
-  EXPECT_EQ(q.size(), 2u);
-  while (!q.empty()) q.pop().cb();
-  EXPECT_TRUE(reborn_fired);
-}
-
-TEST(EventQueue, ScheduleAfterShrinkBehavesNormally) {
-  EventQueue q;
-  std::vector<int> order;
-  for (int i = 0; i < 100; ++i) q.schedule(TimePoint{i}, [] {});
-  while (!q.empty()) q.pop().cb();
-  q.shrink();  // empty queue: everything drops
-
-  q.schedule(TimePoint{20}, [&] { order.push_back(2); });
-  q.schedule(TimePoint{10}, [&] { order.push_back(1); });
-  q.schedule(TimePoint{30}, [&] { order.push_back(3); });
-  while (!q.empty()) q.pop().cb();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
 TEST(EventQueue, MoveOnlyCallbackThroughQueue) {

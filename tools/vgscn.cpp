@@ -231,6 +231,14 @@ int cmd_fleet(const std::string& path, std::uint64_t homes, unsigned shards,
   cfg.max_resident = resident;
   cfg.workers = workers;
   const std::uint64_t total = homes != 0 ? homes : tmpl->homes();
+  // An out-of-range run shape (e.g. --homes past FleetConfig::kMaxHomes) is
+  // a usage error, caught here before anything is printed.
+  try {
+    fleet::validate_fleet_config(cfg, total);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "vgscn: %s\n", e.what());
+    return kExitUsage;
+  }
 
   std::printf("%s\n", spec.summary().c_str());
   std::printf("fleet: %llu home(s) across %u shard(s)\n",
@@ -239,11 +247,10 @@ int cmd_fleet(const std::string& path, std::uint64_t homes, unsigned shards,
   const fleet::AggregateStats stats = fleet::run_fleet(*tmpl, cfg, &tel);
   std::printf("%s\n", stats.to_string().c_str());
   std::printf(
-      "calendar: %llu wake(s), %llu empty epoch(s) skipped, %llu "
-      "hibernation(s); %u worker(s), resident cap %llu\n",
+      "calendar: %llu wake(s), %llu empty epoch(s) skipped; %u worker(s), "
+      "resident cap %llu\n",
       static_cast<unsigned long long>(tel.wakes),
-      static_cast<unsigned long long>(tel.epochs_skipped),
-      static_cast<unsigned long long>(tel.hibernations), tel.workers,
+      static_cast<unsigned long long>(tel.epochs_skipped), tel.workers,
       static_cast<unsigned long long>(tel.resident_cap));
 
   if (region_report) {
