@@ -12,9 +12,11 @@
 #include "voiceguard/GuardBox.h"
 
 /// \file FaultInjector.h
-/// Arms a FaultPlan against a concrete testbed. arm() validates the plan
-/// against the wired targets (throws std::invalid_argument on negative times
-/// or references to missing targets), installs link/FCM windows at absolute
+/// Arms a FaultPlan against a concrete testbed. arm() first runs the plan's
+/// checker (faults::check_plan, with the wired device count) and then checks
+/// the wiring: every entry's link, cloud, FCM, guard or device target must
+/// exist. Either failure throws std::invalid_argument naming the plan, before
+/// anything is installed. It then installs link/FCM windows at absolute
 /// times, and schedules the discrete faults (cloud outage, device crash,
 /// guard restart) plus a boundary FaultEvent for every window. The injector
 /// uses no randomness of its own, so an armed plan perturbs nothing outside
@@ -44,7 +46,7 @@ class FaultInjector {
   /// wire trace). Set before arm().
   void set_observer(Observer obs) { observer_ = std::move(obs); }
 
-  /// Validates and installs \p plan, with all times relative to now.
+  /// Checks and installs \p plan, with all times relative to now.
   void arm(const FaultPlan& plan);
 
   /// Fault boundaries that have fired so far, in simulation order.
@@ -52,9 +54,8 @@ class FaultInjector {
   [[nodiscard]] std::uint64_t injected() const { return injected_; }
 
  private:
-  void validate(const FaultPlan& plan) const;
   void note(FaultEvent::Kind kind, std::uint64_t param);
-  net::Link& link_for(LinkFault::Where where) const;
+  net::Link* link_for(LinkFault::Where where) const;
 
   sim::Simulation& sim_;
   Targets targets_;

@@ -9,12 +9,12 @@
 
 /// \file FleetFaultOrchestrator.h
 /// Expands a FleetFaultPlan into per-home faults::FaultPlans, validate-
-/// before-install style: the constructor rejects malformed plans (bad region
-/// fractions, overlapping regional windows, regions guaranteed empty) before
-/// anything is armed, and apply() is a pure function of (plan, home seed) —
-/// no cross-home or cross-shard state — so serial and sharded fleet runs
-/// derive bit-identical faults for every home regardless of shard layout or
-/// residency order.
+/// before-install style: the constructor runs the plan's checker
+/// (faults::check_plan, for the population and its base plan) once and
+/// throws on the first broken rule before anything is armed, and apply() is
+/// a pure function of (plan, home seed) — no cross-home or cross-shard
+/// state — so serial and sharded fleet runs derive bit-identical faults for
+/// every home regardless of shard layout or residency order.
 ///
 /// Determinism contract:
 ///  - region_of(home_seed) hashes the seed (splitmix64) into [0, regions);
@@ -28,18 +28,11 @@ namespace vg::fleet {
 
 class FleetFaultOrchestrator {
  public:
-  /// Validates \p plan for a fleet of \p homes (throws std::invalid_argument)
-  /// and captures it.
-  FleetFaultOrchestrator(FleetFaultPlan plan, std::uint64_t homes);
-
-  /// The constructor's validation, exposed for negative-path tests and the
-  /// `.scn` loader mirror.
-  static void validate(const FleetFaultPlan& plan, std::uint64_t homes);
-
-  /// Rejects fleet windows that would collide with the population's base
-  /// per-home plan (same overlap groups FaultInjector::arm enforces); the
-  /// base plan applies to every home, so any regional window may meet it.
-  void validate_against_base(const faults::FaultPlan& base) const;
+  /// Checks \p plan for a fleet of \p homes homes that each also run the
+  /// per-home \p base plan (throws std::invalid_argument naming the plan and
+  /// the broken rule) and captures it.
+  FleetFaultOrchestrator(FleetFaultPlan plan, std::uint64_t homes,
+                         const faults::FaultPlan& base = {});
 
   [[nodiscard]] std::uint32_t region_of(std::uint64_t home_seed) const;
 
@@ -49,16 +42,8 @@ class FleetFaultOrchestrator {
   /// it (refusal outages, restart waves).
   std::size_t apply(std::uint64_t home_seed, faults::FaultPlan& out) const;
 
-  /// Conservative upper bound (relative to arm) on the last instant any
-  /// orchestrated window can still be active in any home.
-  [[nodiscard]] sim::Duration last_window_end() const;
-
-  [[nodiscard]] const FleetFaultPlan& plan() const { return plan_; }
-  [[nodiscard]] std::uint64_t homes() const { return homes_; }
-
  private:
   FleetFaultPlan plan_;
-  std::uint64_t homes_;
 };
 
 /// Named orchestrated plans for `vgscn fleet --fault-plan` and the chaos

@@ -15,7 +15,9 @@
 /// bit-identical per-home faults::FaultPlans at any shard count.
 ///
 /// Header-only on purpose: scenario:: holds one of these inside ScenarioSpec
-/// (the `[fleet_faults]` section) without linking against vg_fleet.
+/// (the `[fleet_faults]` section) without linking against vg_fleet. The
+/// rules a plan must satisfy live in faults::check_plan (faults/PlanCheck.h),
+/// which the `.scn` loader and FleetFaultOrchestrator both run.
 
 namespace vg::fleet {
 

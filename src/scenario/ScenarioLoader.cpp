@@ -1,21 +1,23 @@
 #include "scenario/ScenarioLoader.h"
 
-#include <algorithm>
+#include <array>
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <map>
-#include <set>
 #include <sstream>
 #include <utility>
 
+#include "faults/PlanCheck.h"
 #include "scenario/ScnParser.h"
 #include "trace/TraceFormat.h"
 
 namespace vg::scenario {
 
 namespace {
+
+using faults::PlanEntry;
 
 [[noreturn]] void fail(const ScnEntry& e, const std::string& msg) {
   throw ScnError{e.line, "[" + e.section + "] " + e.key + ": " + msg};
@@ -286,29 +288,6 @@ ExpectedSpike decode_expect(const ScnEntry& e) {
 
 // --- cross-field validation -------------------------------------------------
 
-/// Half-open fault windows; duration 0 means "forever" for device faults and
-/// is treated as an instant elsewhere.
-struct Window {
-  std::int64_t start;
-  std::int64_t end;  // -1 = open-ended
-  const ScnEntry* entry;
-};
-
-void check_no_overlap(std::vector<Window> ws, const std::string& what) {
-  std::sort(ws.begin(), ws.end(), [](const Window& a, const Window& b) {
-    return a.start < b.start;
-  });
-  for (std::size_t i = 1; i < ws.size(); ++i) {
-    const Window& prev = ws[i - 1];
-    if (prev.end < 0 || ws[i].start < prev.end) {
-      fail(*ws[i].entry, what + " window starting at " +
-                             std::to_string(ws[i].start / 1'000'000'000.0) +
-                             " s overlaps the one from line " +
-                             std::to_string(prev.entry->line));
-    }
-  }
-}
-
 struct Decoder {
   ScenarioSpec spec;
   std::map<std::pair<std::string, std::string>, int> scalar_lines;
@@ -318,17 +297,24 @@ struct Decoder {
   const ScnEntry* loop_entry{nullptr};
   const ScnEntry* first_command{nullptr};
   const ScnEntry* drain_entry{nullptr};
-  std::vector<const ScnEntry*> link_entries;
-  std::vector<const ScnEntry*> cloud_entries;
-  std::vector<const ScnEntry*> brownout_entries;
-  std::vector<const ScnEntry*> fcm_entries;
-  std::vector<const ScnEntry*> device_entries;
-  std::vector<const ScnEntry*> restart_entries;
   std::vector<const ScnEntry*> capture_entries;
-  std::vector<const ScnEntry*> fleet_fcm_entries;
-  std::vector<const ScnEntry*> fleet_capacity_entries;
-  std::vector<const ScnEntry*> fleet_wan_entries;
-  std::vector<const ScnEntry*> fleet_wave_entries;
+  /// The line of every [faults]/[fleet_faults] plan entry, per plan list:
+  /// what turns a checker's entry index into a line.
+  std::array<std::vector<const ScnEntry*>, PlanEntry::kLists> plan_entries;
+
+  void record(PlanEntry::List list, const ScnEntry& e) {
+    plan_entries[static_cast<std::size_t>(list)].push_back(&e);
+  }
+  const ScnEntry& entry_of(PlanEntry at) const {
+    return *plan_entries[static_cast<std::size_t>(at.list)][at.index];
+  }
+  /// Throws at the defect's entry, naming the line of the one it collides
+  /// with.
+  [[noreturn]] void fail_at(const faults::PlanDefect& d) const {
+    std::string msg = d.message;
+    if (d.other) msg += " line " + std::to_string(entry_of(*d.other).line);
+    fail(entry_of(d.entry), msg);
+  }
 
   void once(const ScnEntry& e) {
     auto [it, inserted] =
@@ -529,7 +515,7 @@ struct Decoder {
   void decode_faults(const ScnEntry& e) {
     if (e.key == "link") {
       spec.faults.links.push_back(decode_link_fault(e));
-      link_entries.push_back(&e);
+      record(PlanEntry::List::kLinks, e);
     } else if (e.key == "cloud") {
       const auto toks = scn_tokens(e.value);
       need_tokens(e, toks, 3, "<start_s> <dur_s> <rst|norst>");
@@ -544,7 +530,7 @@ struct Decoder {
         fail(e, "expected rst or norst, got '" + toks[2] + "'");
       }
       spec.faults.cloud.push_back(f);
-      cloud_entries.push_back(&e);
+      record(PlanEntry::List::kCloud, e);
     } else if (e.key == "brownout") {
       const auto toks = scn_tokens(e.value);
       need_tokens(e, toks, 3, "<start_s> <dur_s> extra_ms=X");
@@ -564,7 +550,7 @@ struct Decoder {
         fail(e, "a brownout needs extra_ms > 0 (use 'cloud' for refusal)");
       }
       spec.faults.brownouts.push_back(f);
-      brownout_entries.push_back(&e);
+      record(PlanEntry::List::kBrownouts, e);
     } else if (e.key == "fcm") {
       const auto toks = scn_tokens(e.value);
       need_tokens(e, toks, 2, "<start_s> <dur_s> [delay_s=X] [drop=P]");
@@ -583,7 +569,7 @@ struct Decoder {
         }
       }
       spec.faults.fcm.push_back(f);
-      fcm_entries.push_back(&e);
+      record(PlanEntry::List::kFcm, e);
     } else if (e.key == "device") {
       const auto toks = scn_tokens(e.value);
       need_tokens(e, toks, 3, "<index> <start_s> <dur_s>");
@@ -592,12 +578,12 @@ struct Decoder {
       f.start = parse_nonneg_duration(e, toks[1], "start");
       f.duration = parse_nonneg_duration(e, toks[2], "duration");
       spec.faults.devices.push_back(f);
-      device_entries.push_back(&e);
+      record(PlanEntry::List::kDevices, e);
     } else if (e.key == "restart") {
       faults::GuardRestart f;
       f.at = parse_nonneg_duration(e, one_token(e), "at_s");
       spec.faults.restarts.push_back(f);
-      restart_entries.push_back(&e);
+      record(PlanEntry::List::kRestarts, e);
     } else if (e.key == "may_break_connections") {
       once(e);
       spec.faults.may_break_connections = parse_bool(e, one_token(e));
@@ -635,6 +621,7 @@ struct Decoder {
                     std::to_string(fleet::kMaxRegions) + "]");
       }
       p.regions = static_cast<std::uint32_t>(v);
+      record(PlanEntry::List::kRegions, e);
     } else if (e.key == "fcm_outage") {
       const auto toks = scn_tokens(e.value);
       need_tokens(e, toks, 3, "<region> <start_s> <dur_s> [delay_s=X] [drop=P]");
@@ -654,7 +641,7 @@ struct Decoder {
         }
       }
       p.fcm_outages.push_back(o);
-      fleet_fcm_entries.push_back(&e);
+      record(PlanEntry::List::kFcmOutages, e);
     } else if (e.key == "cloud_capacity") {
       const auto toks = scn_tokens(e.value);
       need_tokens(e, toks, 3,
@@ -685,7 +672,7 @@ struct Decoder {
         }
       }
       p.cloud_capacity.push_back(ev);
-      fleet_capacity_entries.push_back(&e);
+      record(PlanEntry::List::kCloudCapacity, e);
     } else if (e.key == "wan_degrade") {
       const auto toks = scn_tokens(e.value);
       need_tokens(e, toks, 3, "<region> <start_s> <dur_s> [extra_ms=X]");
@@ -703,7 +690,7 @@ struct Decoder {
         }
       }
       p.wan_degrades.push_back(w);
-      fleet_wan_entries.push_back(&e);
+      record(PlanEntry::List::kWanDegrades, e);
     } else if (e.key == "restart_wave") {
       const auto toks = scn_tokens(e.value);
       need_tokens(e, toks, 2, "<start_s> <stagger_s> [fraction=F]");
@@ -721,7 +708,7 @@ struct Decoder {
         }
       }
       p.restart_waves.push_back(w);
-      fleet_wave_entries.push_back(&e);
+      record(PlanEntry::List::kRestartWaves, e);
     } else if (e.key == "reconnect_backoff") {
       once(e);
       const auto toks = scn_tokens(e.value);
@@ -833,7 +820,9 @@ struct Decoder {
       fail(*first_in_section.at("population"),
            "[population] needs 'homes = N'");
     }
-    validate_faults();
+    if (const auto d = faults::check_plan(spec.faults, spec.home.owners)) {
+      fail_at(*d);
+    }
     validate_fleet_faults();
   }
 
@@ -937,201 +926,17 @@ struct Decoder {
     }
   }
 
-  void validate_faults() {
-    // Mirrors (and extends, with line numbers) FaultInjector::validate: the
-    // runner re-validates on arm, but nothing should get that far broken.
-    std::vector<Window> by_group[2][3];  // [where][kind]
-    for (std::size_t i = 0; i < spec.faults.links.size(); ++i) {
-      const faults::LinkFault& f = spec.faults.links[i];
-      by_group[static_cast<int>(f.where)][static_cast<int>(f.kind)].push_back(
-          {f.start.ns(), (f.start + f.duration).ns(), link_entries[i]});
-    }
-    for (auto& where : by_group) {
-      for (auto& ws : where) check_no_overlap(std::move(ws), "link-fault");
-    }
-
-    std::vector<Window> cloud;
-    for (std::size_t i = 0; i < spec.faults.cloud.size(); ++i) {
-      const faults::CloudOutage& f = spec.faults.cloud[i];
-      cloud.push_back(
-          {f.start.ns(), (f.start + f.duration).ns(), cloud_entries[i]});
-    }
-    check_no_overlap(std::move(cloud), "cloud-outage");
-
-    std::vector<Window> brownouts;
-    for (std::size_t i = 0; i < spec.faults.brownouts.size(); ++i) {
-      const faults::CloudBrownout& f = spec.faults.brownouts[i];
-      brownouts.push_back(
-          {f.start.ns(), (f.start + f.duration).ns(), brownout_entries[i]});
-    }
-    check_no_overlap(std::move(brownouts), "cloud-brownout");
-
-    std::vector<Window> fcm;
-    for (std::size_t i = 0; i < spec.faults.fcm.size(); ++i) {
-      const faults::FcmFault& f = spec.faults.fcm[i];
-      fcm.push_back(
-          {f.start.ns(), (f.start + f.duration).ns(), fcm_entries[i]});
-    }
-    check_no_overlap(std::move(fcm), "fcm-fault");
-
-    std::map<int, std::vector<Window>> devices;
-    for (std::size_t i = 0; i < spec.faults.devices.size(); ++i) {
-      const faults::DeviceFault& f = spec.faults.devices[i];
-      if (f.device < 0 || f.device >= spec.home.owners) {
-        fail(*device_entries[i],
-             "device index " + std::to_string(f.device) + " out of range (" +
-                 std::to_string(spec.home.owners) + " owner devices)");
-      }
-      devices[f.device].push_back(
-          {f.start.ns(),
-           f.duration.ns() == 0 ? -1 : (f.start + f.duration).ns(),
-           device_entries[i]});
-    }
-    for (auto& dev_ws : devices) {
-      check_no_overlap(std::move(dev_ws.second), "device-fault");
-    }
-
-    std::set<std::int64_t> restart_at;
-    for (std::size_t i = 0; i < spec.faults.restarts.size(); ++i) {
-      if (!restart_at.insert(spec.faults.restarts[i].at.ns()).second) {
-        fail(*restart_entries[i], "duplicate guard restart instant");
-      }
-    }
-  }
-
   void validate_fleet_faults() {
-    // Mirrors FleetFaultOrchestrator::validate / validate_against_base with
-    // line numbers (vg_scenario cannot link vg_fleet; the orchestrator
-    // re-validates when WorldTemplate installs the plan).
     const auto it = first_in_section.find("fleet_faults");
     if (it == first_in_section.end()) return;
-    const fleet::FleetFaultPlan& p = spec.fleet_faults;
     if (!spec.population.enabled()) {
       fail(*it->second, "[fleet_faults] needs a [population] (fleet events "
                         "are population-scoped)");
     }
-    if (p.regions > spec.population.homes) {
-      const auto rl = scalar_lines.find({"fleet_faults", "regions"});
-      throw ScnError{rl != scalar_lines.end() ? rl->second : it->second->line,
-                     "[fleet_faults] regions: " + std::to_string(p.regions) +
-                         " regions exceed the population's " +
-                         std::to_string(spec.population.homes) +
-                         " homes (guaranteed zero-home regions)"};
+    if (const auto d = faults::check_plan(spec.fleet_faults,
+                                          spec.population.homes, spec.faults)) {
+      fail_at(*d);
     }
-
-    std::map<std::uint32_t, std::vector<Window>> fcm_by_region;
-    for (std::size_t i = 0; i < p.fcm_outages.size(); ++i) {
-      const fleet::RegionalFcmOutage& o = p.fcm_outages[i];
-      if (o.region >= p.regions) {
-        fail(*fleet_fcm_entries[i],
-             "region " + std::to_string(o.region) + " out of range (" +
-                 std::to_string(p.regions) + " regions)");
-      }
-      fcm_by_region[o.region].push_back(
-          {o.start.ns(), (o.start + o.duration).ns(), fleet_fcm_entries[i]});
-    }
-    for (auto& ws : fcm_by_region) {
-      check_no_overlap(std::move(ws.second), "regional fcm-outage");
-    }
-
-    // A capacity event's per-home cloud window can grow to start + duration +
-    // the load-coupled re-admission stagger; envelopes may not overlap.
-    std::vector<Window> envelopes;
-    for (std::size_t i = 0; i < p.cloud_capacity.size(); ++i) {
-      const fleet::CloudCapacityEvent& ev = p.cloud_capacity[i];
-      envelopes.push_back(
-          {ev.start.ns(), (ev.start + ev.duration + ev.recovery_spread).ns(),
-           fleet_capacity_entries[i]});
-    }
-    check_no_overlap(std::move(envelopes), "cloud-capacity");
-
-    std::map<std::uint32_t, std::vector<Window>> wan_by_region;
-    for (std::size_t i = 0; i < p.wan_degrades.size(); ++i) {
-      const fleet::WanDegradeWindow& w = p.wan_degrades[i];
-      if (w.region >= p.regions) {
-        fail(*fleet_wan_entries[i],
-             "region " + std::to_string(w.region) + " out of range (" +
-                 std::to_string(p.regions) + " regions)");
-      }
-      wan_by_region[w.region].push_back(
-          {w.start.ns(), (w.start + w.duration).ns(), fleet_wan_entries[i]});
-    }
-    for (auto& ws : wan_by_region) {
-      check_no_overlap(std::move(ws.second), "regional wan-degrade");
-    }
-
-    // The base [faults] plan applies to every home, so any fleet window may
-    // meet it; the injector's overlap groups must stay collision-free for
-    // every (home, region) combination.
-    const auto check_disjoint = [](const std::vector<Window>& fleet_ws,
-                                   const std::vector<Window>& base_ws,
-                                   const std::string& what) {
-      for (const Window& x : fleet_ws) {
-        for (const Window& y : base_ws) {
-          if (x.start < y.end && y.start < x.end) {
-            fail(*x.entry, what + " window collides with the base [faults] "
-                               "window from line " +
-                               std::to_string(y.entry->line));
-          }
-        }
-      }
-    };
-
-    std::vector<Window> fleet_fcm;
-    for (std::size_t i = 0; i < p.fcm_outages.size(); ++i) {
-      const fleet::RegionalFcmOutage& o = p.fcm_outages[i];
-      fleet_fcm.push_back(
-          {o.start.ns(), (o.start + o.duration).ns(), fleet_fcm_entries[i]});
-    }
-    std::vector<Window> base_fcm;
-    for (std::size_t i = 0; i < spec.faults.fcm.size(); ++i) {
-      const faults::FcmFault& f = spec.faults.fcm[i];
-      base_fcm.push_back(
-          {f.start.ns(), (f.start + f.duration).ns(), fcm_entries[i]});
-    }
-    check_disjoint(fleet_fcm, base_fcm, "fcm_outage");
-
-    std::vector<Window> fleet_cloud;
-    std::vector<Window> fleet_brownout;
-    for (std::size_t i = 0; i < p.cloud_capacity.size(); ++i) {
-      const fleet::CloudCapacityEvent& ev = p.cloud_capacity[i];
-      fleet_cloud.push_back(
-          {ev.start.ns(), (ev.start + ev.duration + ev.recovery_spread).ns(),
-           fleet_capacity_entries[i]});
-      fleet_brownout.push_back({ev.start.ns(), (ev.start + ev.duration).ns(),
-                                fleet_capacity_entries[i]});
-    }
-    std::vector<Window> base_cloud;
-    for (std::size_t i = 0; i < spec.faults.cloud.size(); ++i) {
-      const faults::CloudOutage& f = spec.faults.cloud[i];
-      base_cloud.push_back(
-          {f.start.ns(), (f.start + f.duration).ns(), cloud_entries[i]});
-    }
-    std::vector<Window> base_brownout;
-    for (std::size_t i = 0; i < spec.faults.brownouts.size(); ++i) {
-      const faults::CloudBrownout& f = spec.faults.brownouts[i];
-      base_brownout.push_back(
-          {f.start.ns(), (f.start + f.duration).ns(), brownout_entries[i]});
-    }
-    check_disjoint(fleet_cloud, base_cloud, "cloud_capacity");
-    check_disjoint(fleet_brownout, base_brownout, "cloud_capacity brownout");
-
-    std::vector<Window> fleet_wan;
-    for (std::size_t i = 0; i < p.wan_degrades.size(); ++i) {
-      const fleet::WanDegradeWindow& w = p.wan_degrades[i];
-      fleet_wan.push_back(
-          {w.start.ns(), (w.start + w.duration).ns(), fleet_wan_entries[i]});
-    }
-    std::vector<Window> base_wan_latency;
-    for (std::size_t i = 0; i < spec.faults.links.size(); ++i) {
-      const faults::LinkFault& f = spec.faults.links[i];
-      if (f.where == faults::LinkFault::Where::kWan &&
-          f.kind == faults::LinkFault::Kind::kLatencySpike) {
-        base_wan_latency.push_back(
-            {f.start.ns(), (f.start + f.duration).ns(), link_entries[i]});
-      }
-    }
-    check_disjoint(fleet_wan, base_wan_latency, "wan_degrade");
   }
 };
 

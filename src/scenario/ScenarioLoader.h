@@ -9,9 +9,10 @@
 /// Decodes and validates `.scn` text into a ScenarioSpec with the same
 /// validate-before-install discipline as faults::FaultInjector: the loader
 /// either returns a spec that has passed every check (types, ranges,
-/// kind/section consistency, schedule monotonicity, fault-window overlap,
-/// capture-op flow references and timeline order) or throws ScnError naming
-/// the offending section, key and line — never a half-decoded spec. The
+/// kind/section consistency, schedule monotonicity, the fault-plan rules of
+/// faults::check_plan, capture-op flow references and timeline order) or
+/// throws ScnError naming the offending section, key and line — never a
+/// half-decoded spec. The
 /// workload-side runner can therefore install a loaded spec without
 /// re-checking anything the text could get wrong.
 

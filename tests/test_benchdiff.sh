@@ -57,6 +57,17 @@ sed 's/"trials":12,"days":7/"trials":12,"days":1/' "$BASELINE" \
   >"$TMP/shape.jsonl"
 expect 1 "throughput.days: run shape 7 -> 1" "$TMP/shape.jsonl"
 
+# 1: the fleet chaos run orchestrated one more fault.
+sed 's/"orchestrated_faults":28003/"orchestrated_faults":28004/' "$BASELINE" \
+  >"$TMP/orchestrated.jsonl"
+expect 1 "fleet_chaos.orchestrated_faults: 28003 -> 28004" \
+  "$TMP/orchestrated.jsonl"
+
+# 1: a fleet chaos run over half the homes is another run shape.
+sed '/"bench":"fleet_chaos"/s/"homes":10000,/"homes":5000,/' "$BASELINE" \
+  >"$TMP/chaos-shape.jsonl"
+expect 1 "fleet_chaos.homes: run shape 10000 -> 5000" "$TMP/chaos-shape.jsonl"
+
 if [ "$fails" -ne 0 ]; then
   echo "$fails case(s) failed" >&2
   exit 1

@@ -106,6 +106,33 @@ expect 4 "$VGSCN" fleet "$TMP/pop-collide.scn" --fault-plan cloud-capacity-crunc
 } >"$TMP/pop-tiny.scn"
 expect 4 "$VGSCN" fleet "$TMP/pop-tiny.scn" --fault-plan regional-fcm-outage
 
+# --homes sets the population the run uses, and the plan's regions are checked
+# against it: 8 homes take the 4 regions the file's 2 homes cannot, and run
+# exactly as a file that declares 8 homes...
+{ cat "$SCN_DIR/chaos-baseline.scn"
+  printf '\n[population]\nhomes = 8\n'
+} >"$TMP/pop-8.scn"
+expect 0 "$VGSCN" fleet "$TMP/pop-tiny.scn" --homes 8 \
+  --fault-plan regional-fcm-outage --check
+cp "$TMP/out" "$TMP/homes-flag.out"
+expect 0 "$VGSCN" fleet "$TMP/pop-8.scn" --fault-plan regional-fcm-outage --check
+if ! cmp -s "$TMP/homes-flag.out" "$TMP/out"; then
+  echo "FAIL: --homes 8 and [population] homes = 8 print different runs" >&2
+  diff "$TMP/homes-flag.out" "$TMP/out" >&2
+  fails=$((fails + 1))
+fi
+# ...while 2 homes of a 4-home file cannot hold 4 regions: rejected before
+# the fleet line is printed.
+{ cat "$SCN_DIR/chaos-baseline.scn"
+  printf '\n[population]\nhomes = 4\n'
+} >"$TMP/pop-4.scn"
+expect 4 "$VGSCN" fleet "$TMP/pop-4.scn" --homes 2 \
+  --fault-plan regional-fcm-outage
+if grep -q '^fleet:' "$TMP/out"; then
+  echo "FAIL: the rejected --homes 2 run printed its fleet line" >&2
+  fails=$((fails + 1))
+fi
+
 # 2: usage errors.
 expect 2 "$VGSCN"
 expect 2 "$VGSCN" frobnicate

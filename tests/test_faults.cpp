@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "faults/FaultInjector.h"
+#include "faults/PlanCheck.h"
 #include "home/Fcm.h"
 #include "home/MobileDevice.h"
 #include "home/Person.h"
@@ -341,6 +342,48 @@ TEST(FaultInjectorValidation, RejectsOverlappingWindows) {
 
   // Nothing the validator rejected was installed.
   EXPECT_EQ(inj.injected(), 0u);
+}
+
+TEST(FaultPlanCheck, NamesTheOffendingEntryAndTheOneItOverlaps) {
+  const auto flap = [](double start_s, double dur_s) {
+    return LinkFault{LinkFault::Where::kLan, LinkFault::Kind::kFlap,
+                     sim::from_seconds(start_s), sim::from_seconds(dur_s), {},
+                     {}};
+  };
+  FaultPlan p;
+  p.name = "p";
+  p.links = {flap(4, 5), flap(20, 1), flap(1, 5)};
+  const auto d = check_plan(p, 0);
+  ASSERT_TRUE(d.has_value());
+  // Sorted by start, [4, 9) is the window that starts inside [1, 6).
+  EXPECT_EQ(d->entry, (PlanEntry{PlanEntry::List::kLinks, 0}));
+  EXPECT_EQ(d->other, (PlanEntry{PlanEntry::List::kLinks, 2}));
+  EXPECT_EQ(to_string(*d),
+            "links[0]: link-fault window starting at 4.000000 s overlaps the "
+            "one from links[2]");
+
+  sim::Simulation sim{5};
+  FaultInjector inj{sim, {}};
+  try {
+    inj.arm(p);
+    ADD_FAILURE() << "arm() accepted an overlapping plan";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string{e.what()},
+              "FaultInjector: plan 'p': " + to_string(*d));
+  }
+}
+
+TEST(FaultPlanCheck, OverlapVerdictDoesNotDependOnOrder) {
+  // [30, 30) ends where [30, 40) starts, whichever is listed first.
+  for (const bool empty_first : {false, true}) {
+    FaultPlan p;
+    p.links.push_back({LinkFault::Where::kWan, LinkFault::Kind::kFlap,
+                       sim::seconds(30), sim::seconds(10), {}, {}});
+    p.links.push_back({LinkFault::Where::kWan, LinkFault::Kind::kFlap,
+                       sim::seconds(30), sim::Duration{}, {}, {}});
+    if (empty_first) std::swap(p.links[0], p.links[1]);
+    EXPECT_FALSE(check_plan(p, 0).has_value()) << empty_first;
+  }
 }
 
 TEST(FaultInjectorLog, BoundariesFireInOrderAndReachTheObserver) {

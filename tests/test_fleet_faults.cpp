@@ -9,9 +9,11 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "faults/FaultPlan.h"
+#include "faults/PlanCheck.h"
 #include "fleet/AggregateStats.h"
 #include "fleet/FleetFaultOrchestrator.h"
 #include "fleet/FleetRunner.h"
@@ -42,6 +44,13 @@ FleetFaultPlan valid_plan() {
   return p;
 }
 
+/// True when the fleet plan checker rejects \p p for a population of
+/// \p homes homes that each also run \p base.
+bool rejects(const FleetFaultPlan& p, std::uint64_t homes,
+             const faults::FaultPlan& base = {}) {
+  return faults::check_plan(p, homes, base).has_value();
+}
+
 // ---------------------------------------------------------------------------
 // Named plan registry.
 
@@ -54,7 +63,7 @@ TEST(FleetFaultPlans, RegistryValidatesAndResolvesEveryNamedPlan) {
   std::set<std::string> names;
   for (const FleetFaultPlan& p : plans) {
     EXPECT_TRUE(names.insert(p.name).second) << "duplicate plan " << p.name;
-    EXPECT_NO_THROW(FleetFaultOrchestrator::validate(p, 64)) << p.name;
+    EXPECT_FALSE(rejects(p, 64)) << p.name;
     const FleetFaultPlan* found = fleet_fault_plan(p.name);
     ASSERT_NE(found, nullptr);
     EXPECT_TRUE(*found == p);
@@ -63,29 +72,30 @@ TEST(FleetFaultPlans, RegistryValidatesAndResolvesEveryNamedPlan) {
 }
 
 // ---------------------------------------------------------------------------
-// validate(): malformed plans are rejected before anything is installed.
+// faults::check_plan: malformed plans are rejected before anything is
+// installed.
 
 TEST(FleetFaultValidation, RejectsBadRegionCounts) {
   FleetFaultPlan p = valid_plan();
   p.regions = 0;
-  EXPECT_THROW(FleetFaultOrchestrator::validate(p, 64), std::invalid_argument);
+  EXPECT_TRUE(rejects(p, 64));
   p.regions = kMaxRegions + 1;
-  EXPECT_THROW(FleetFaultOrchestrator::validate(p, 64), std::invalid_argument);
+  EXPECT_TRUE(rejects(p, 64));
 
   // More regions than homes guarantees zero-home regions.
   p.regions = 4;
-  EXPECT_THROW(FleetFaultOrchestrator::validate(p, 3), std::invalid_argument);
-  EXPECT_NO_THROW(FleetFaultOrchestrator::validate(p, 4));
+  EXPECT_TRUE(rejects(p, 3));
+  EXPECT_FALSE(rejects(p, 4));
 }
 
 TEST(FleetFaultValidation, RejectsEventRegionsOutsideThePlan) {
   FleetFaultPlan p = valid_plan();
   p.fcm_outages[0].region = 4;  // regions is 4, so valid regions are 0..3
-  EXPECT_THROW(FleetFaultOrchestrator::validate(p, 64), std::invalid_argument);
+  EXPECT_TRUE(rejects(p, 64));
 
   p = valid_plan();
   p.wan_degrades[0].region = 99;
-  EXPECT_THROW(FleetFaultOrchestrator::validate(p, 64), std::invalid_argument);
+  EXPECT_TRUE(rejects(p, 64));
 }
 
 TEST(FleetFaultValidation, RejectsOverlappingRegionalFcmWindows) {
@@ -93,21 +103,21 @@ TEST(FleetFaultValidation, RejectsOverlappingRegionalFcmWindows) {
   // Overlaps the region-0 outage at [10, 18).
   p.fcm_outages.push_back({0, sim::seconds(15), sim::seconds(5),
                            sim::Duration{}, 1.0});
-  EXPECT_THROW(FleetFaultOrchestrator::validate(p, 64), std::invalid_argument);
+  EXPECT_TRUE(rejects(p, 64));
 
   // The same window in another region is fine — regions are disjoint homes.
   p = valid_plan();
   p.fcm_outages.push_back({2, sim::seconds(15), sim::seconds(5),
                            sim::Duration{}, 1.0});
-  EXPECT_NO_THROW(FleetFaultOrchestrator::validate(p, 64));
+  EXPECT_FALSE(rejects(p, 64));
 }
 
 TEST(FleetFaultValidation, RejectsBadCapacityFractions) {
   FleetFaultPlan p = valid_plan();
   p.cloud_capacity[0].fraction = 0.0;
-  EXPECT_THROW(FleetFaultOrchestrator::validate(p, 64), std::invalid_argument);
+  EXPECT_TRUE(rejects(p, 64));
   p.cloud_capacity[0].fraction = 1.5;
-  EXPECT_THROW(FleetFaultOrchestrator::validate(p, 64), std::invalid_argument);
+  EXPECT_TRUE(rejects(p, 64));
 }
 
 TEST(FleetFaultValidation, CapacityEnvelopesIncludeTheRecoverySpread) {
@@ -116,55 +126,53 @@ TEST(FleetFaultValidation, CapacityEnvelopesIncludeTheRecoverySpread) {
   // event starting inside the spread still collides.
   p.cloud_capacity.push_back({sim::seconds(38), sim::seconds(5), 0.5, false,
                               sim::Duration{}, sim::Duration{}});
-  EXPECT_THROW(FleetFaultOrchestrator::validate(p, 64), std::invalid_argument);
+  EXPECT_TRUE(rejects(p, 64));
 
   p = valid_plan();
   p.cloud_capacity.push_back({sim::seconds(40), sim::seconds(5), 0.5, false,
                               sim::Duration{}, sim::Duration{}});
-  EXPECT_NO_THROW(FleetFaultOrchestrator::validate(p, 64));
+  EXPECT_FALSE(rejects(p, 64));
 }
 
 TEST(FleetFaultValidation, RejectsOverlappingRegionalWanWindows) {
   FleetFaultPlan p = valid_plan();
   p.wan_degrades.push_back({1, sim::seconds(20), sim::seconds(5),
                             sim::milliseconds(100)});
-  EXPECT_THROW(FleetFaultOrchestrator::validate(p, 64), std::invalid_argument);
+  EXPECT_TRUE(rejects(p, 64));
 
   p = valid_plan();
   p.wan_degrades.push_back({0, sim::seconds(20), sim::seconds(5),
                             sim::milliseconds(100)});
-  EXPECT_NO_THROW(FleetFaultOrchestrator::validate(p, 64));
+  EXPECT_FALSE(rejects(p, 64));
 }
 
 TEST(FleetFaultValidation, RejectsBadWaveFractions) {
   FleetFaultPlan p = valid_plan();
   p.restart_waves[0].fraction = 0.0;
-  EXPECT_THROW(FleetFaultOrchestrator::validate(p, 64), std::invalid_argument);
+  EXPECT_TRUE(rejects(p, 64));
   p.restart_waves[0].fraction = 2.0;
-  EXPECT_THROW(FleetFaultOrchestrator::validate(p, 64), std::invalid_argument);
+  EXPECT_TRUE(rejects(p, 64));
 }
 
 TEST(FleetFaultValidation, AgainstBaseCatchesEveryCollisionGroup) {
-  const FleetFaultOrchestrator orch{valid_plan(), 64};
-
   faults::FaultPlan base;  // empty base never collides
-  EXPECT_NO_THROW(orch.validate_against_base(base));
+  EXPECT_FALSE(rejects(valid_plan(), 64, base));
 
   // FCM: base window [12, 20) meets the fleet outage at [10, 18).
   base = {};
   base.fcm.push_back({sim::seconds(12), sim::seconds(8), sim::Duration{}, 0.5});
-  EXPECT_THROW(orch.validate_against_base(base), std::invalid_argument);
+  EXPECT_TRUE(rejects(valid_plan(), 64, base));
 
   // Cloud: base outage [35, 45) meets the capacity envelope [30, 40).
   base = {};
   base.cloud.push_back({sim::seconds(35), sim::seconds(10), true});
-  EXPECT_THROW(orch.validate_against_base(base), std::invalid_argument);
+  EXPECT_TRUE(rejects(valid_plan(), 64, base));
 
   // Brownout: base brownout inside the capacity *window* [30, 36).
   base = {};
   base.brownouts.push_back(
       {sim::seconds(32), sim::seconds(2), sim::milliseconds(100)});
-  EXPECT_THROW(orch.validate_against_base(base), std::invalid_argument);
+  EXPECT_TRUE(rejects(valid_plan(), 64, base));
 
   // WAN latency spike: meets the wan_degrade window [12, 22).
   base = {};
@@ -175,7 +183,7 @@ TEST(FleetFaultValidation, AgainstBaseCatchesEveryCollisionGroup) {
   spike.duration = sim::seconds(5);
   spike.extra_latency = sim::milliseconds(50);
   base.links.push_back(spike);
-  EXPECT_THROW(orch.validate_against_base(base), std::invalid_argument);
+  EXPECT_TRUE(rejects(valid_plan(), 64, base));
 
   // A LAN flap in the same window is a different group — no collision.
   base = {};
@@ -185,7 +193,41 @@ TEST(FleetFaultValidation, AgainstBaseCatchesEveryCollisionGroup) {
   flap.start = sim::seconds(15);
   flap.duration = sim::seconds(5);
   base.links.push_back(flap);
-  EXPECT_NO_THROW(orch.validate_against_base(base));
+  EXPECT_FALSE(rejects(valid_plan(), 64, base));
+}
+
+TEST(FleetFaultValidation, ConstructorNamesTheEntryAndTheBaseEntryItMeets) {
+  // The region-0 outage [10, 18) meets the base plan's second FCM window.
+  faults::FaultPlan base;
+  base.fcm.push_back({sim::seconds(1), sim::seconds(2), sim::Duration{}, 0.5});
+  base.fcm.push_back({sim::seconds(12), sim::seconds(8), sim::Duration{}, 0.5});
+  const auto d = faults::check_plan(valid_plan(), 64, base);
+  ASSERT_TRUE(d.has_value());
+  EXPECT_EQ(d->entry,
+            (faults::PlanEntry{faults::PlanEntry::List::kFcmOutages, 0}));
+  EXPECT_EQ(d->other, (faults::PlanEntry{faults::PlanEntry::List::kFcm, 1}));
+  try {
+    const FleetFaultOrchestrator orch{valid_plan(), 64, base};
+    ADD_FAILURE() << "the orchestrator accepted a colliding plan";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string{e.what()},
+              "FleetFaultPlan: plan 'test-plan': fcm_outages[0]: fcm_outage "
+              "window collides with the base [faults] window from fcm[1]");
+  }
+}
+
+TEST(FleetFaultValidation, OverlapVerdictDoesNotDependOnOrder) {
+  // Region 0's [20, 20) ends where [20, 30) starts, in either order.
+  for (const bool empty_first : {false, true}) {
+    FleetFaultPlan p;
+    p.regions = 2;
+    p.fcm_outages.push_back(
+        {0, sim::seconds(20), sim::seconds(10), sim::Duration{}, 1.0});
+    p.fcm_outages.push_back(
+        {0, sim::seconds(20), sim::Duration{}, sim::Duration{}, 1.0});
+    if (empty_first) std::swap(p.fcm_outages[0], p.fcm_outages[1]);
+    EXPECT_FALSE(rejects(p, 4)) << empty_first;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -232,12 +274,6 @@ TEST(FleetFaultOrchestration, CapacityBrownoutTouchesEveryHome) {
     EXPECT_EQ(out.brownouts[0].extra_latency,
               sim::Duration{100'000'000});  // 200 ms * 0.5
   }
-}
-
-TEST(FleetFaultOrchestration, LastWindowEndCoversEveryVector) {
-  const FleetFaultOrchestrator orch{valid_plan(), 64};
-  // Latest orchestrated instant: the restart wave at 45 s + 5 s stagger.
-  EXPECT_GE(orch.last_window_end(), sim::seconds(50));
 }
 
 // ---------------------------------------------------------------------------
@@ -298,8 +334,9 @@ TEST(FleetRecoveryStats, UnrecoveredHomesContributeNoSample) {
 }
 
 // ---------------------------------------------------------------------------
-// .scn loader: the [fleet_faults] section mirrors orchestrator validation
-// with line-accurate errors, and round-trips through the canonical writer.
+// .scn loader: the [fleet_faults] section runs the orchestrator's plan
+// checker with line-accurate errors, and round-trips through the canonical
+// writer.
 
 constexpr const char* kScriptedBase = R"([scenario]
 name = fleet-storm
@@ -427,6 +464,103 @@ TEST(FleetScnLoader, RejectsFleetWindowsCollidingWithBaseFaults) {
   ASSERT_NE(pop, std::string::npos);
   text.insert(pop, "[faults]\nfcm = 12 10 drop=0.5\n\n");
   expect_scn_error(text + kFleetSection, "collides with the base [faults]");
+}
+
+TEST(FleetScnLoader, PinsTheLineOfEveryFaultRuleRejection) {
+  // Lines 1-7; each case's lines start at line 8.
+  const std::string head =
+      "[scenario]\nname = x\n[home]\nowners = 1\n[schedule]\n"
+      "command = 10 legit\ndrain_s = 60\n";
+  struct Case {
+    const char* lines;
+    int line;
+    const char* message;
+  };
+  const Case cases[] = {
+      {"[faults]\nlink = lan flap 60 30\nlink = lan flap 65 2\n", 10,
+       "link-fault window starting at 65.000000 s overlaps the one from "
+       "line 9"},
+      {"[faults]\ncloud = 10 20 rst\ncloud = 25 5 rst\n", 10,
+       "cloud-outage window starting at 25.000000 s overlaps the one from "
+       "line 9"},
+      {"[faults]\nbrownout = 10 20 extra_ms=100\n"
+       "brownout = 15 5 extra_ms=50\n",
+       10,
+       "cloud-brownout window starting at 15.000000 s overlaps the one from "
+       "line 9"},
+      {"[faults]\nfcm = 10 20\nfcm = 15 1\n", 10,
+       "fcm-fault window starting at 15.000000 s overlaps the one from "
+       "line 9"},
+      {"[faults]\ndevice = 0 10 0\ndevice = 0 500 5\n", 10,
+       "device-fault window starting at 500.000000 s overlaps the one from "
+       "line 9"},
+      {"[faults]\ndevice = 1 10 5\n", 9,
+       "device index 1 out of range (1 owner devices)"},
+      {"[faults]\nrestart = 30\nrestart = 30\n", 10,
+       "duplicate guard restart instant"},
+      {"[faults]\nfcm = 12 10 drop=0.5\n[population]\nhomes = 4\n"
+       "[fleet_faults]\nfcm_outage = 0 10 8\n",
+       13, "fcm_outage window collides with the base [faults] window from "
+           "line 9"},
+      {"[faults]\ncloud = 30 10 rst\n[population]\nhomes = 4\n"
+       "[fleet_faults]\ncloud_capacity = 20 5 rst spread_s=10\n",
+       13, "cloud_capacity window collides with the base [faults] window from "
+           "line 9"},
+      {"[faults]\nbrownout = 22 2 extra_ms=100\n[population]\nhomes = 4\n"
+       "[fleet_faults]\ncloud_capacity = 20 5 rst extra_ms=50\n",
+       13, "cloud_capacity brownout window collides with the base [faults] "
+           "window from line 9"},
+      {"[faults]\nlink = wan latency 12 5 extra_ms=100\n[population]\n"
+       "homes = 4\n[fleet_faults]\nwan_degrade = 0 10 5\n",
+       13, "wan_degrade window collides with the base [faults] window from "
+           "line 9"},
+      {"[population]\nhomes = 2\n[fleet_faults]\nregions = 3\n", 11,
+       "3 regions exceed the population's 2 homes"},
+      {"[population]\nhomes = 2\n[fleet_faults]\nregions = 2\n"
+       "fcm_outage = 2 10 5\n",
+       12, "region 2 out of range (2 regions)"},
+      {"[population]\nhomes = 2\n[fleet_faults]\nwan_degrade = 1 10 5\n", 11,
+       "region 1 out of range (1 regions)"},
+      {"[population]\nhomes = 2\n[fleet_faults]\nregions = 2\n"
+       "fcm_outage = 0 10 10\nfcm_outage = 0 15 10\n",
+       13, "regional fcm-outage window starting at 15.000000 s overlaps the "
+           "one from line 12"},
+      {"[population]\nhomes = 2\n[fleet_faults]\n"
+       "cloud_capacity = 10 10 rst spread_s=10\ncloud_capacity = 25 5 norst\n",
+       12, "cloud-capacity window starting at 25.000000 s overlaps the one "
+           "from line 11"},
+      {"[population]\nhomes = 2\n[fleet_faults]\nregions = 2\n"
+       "wan_degrade = 1 10 10\nwan_degrade = 1 12 3\n",
+       13, "regional wan-degrade window starting at 12.000000 s overlaps the "
+           "one from line 12"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.lines);
+    try {
+      (void)scenario::ScenarioLoader::load(head + c.lines);
+      ADD_FAILURE() << "expected ScnError containing '" << c.message << "'";
+    } catch (const scenario::ScnError& e) {
+      EXPECT_EQ(e.line(), c.line) << e.what();
+      EXPECT_NE(std::string{e.what()}.find(c.message), std::string::npos)
+          << "got: " << e.what();
+    }
+  }
+}
+
+TEST(FleetScnLoader, OverlapVerdictDoesNotDependOnLineOrder) {
+  // Region 0's [20, 20) ends where [20, 30) starts: no overlap, in either
+  // order.
+  const std::string head =
+      "[scenario]\nname = x\n[home]\nowners = 1\n[schedule]\n"
+      "command = 10 legit\ndrain_s = 60\n[population]\nhomes = 4\n"
+      "[fleet_faults]\nregions = 2\n";
+  for (const char* outages : {"fcm_outage = 0 20 10\nfcm_outage = 0 20 0\n",
+                              "fcm_outage = 0 20 0\nfcm_outage = 0 20 10\n"}) {
+    SCOPED_TRACE(outages);
+    EXPECT_EQ(scenario::ScenarioLoader::load(head + outages)
+                  .fleet_faults.fcm_outages.size(),
+              2u);
+  }
 }
 
 TEST(FleetScnLoader, ForbiddenOutsideScriptedHomePopulations) {

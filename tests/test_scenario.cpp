@@ -499,6 +499,18 @@ TEST(ScenarioLoader, RejectsOverlappingFaultWindows) {
   EXPECT_EQ(ok.faults.links.size(), 4u);
 }
 
+TEST(ScenarioLoader, OverlapVerdictDoesNotDependOnLineOrder) {
+  // [30, 30) ends where [30, 40) starts: the two flaps touch, in either
+  // order, exactly as FaultInjector::arm sees them.
+  const std::string head =
+      "[scenario]\nname = x\n[schedule]\ncommand = 10 legit\n[faults]\n";
+  for (const char* links : {"link = wan flap 30 10\nlink = wan flap 30 0\n",
+                            "link = wan flap 30 0\nlink = wan flap 30 10\n"}) {
+    SCOPED_TRACE(links);
+    EXPECT_EQ(ScenarioLoader::load(head + links).faults.links.size(), 2u);
+  }
+}
+
 TEST(ScenarioLoader, RejectsBrokenCaptureTimelines) {
   const std::string head = "[scenario]\nname = x\nkind = synthetic\n[capture]\n";
   expect_load_error(head + "tls = 0 up 500 100\n", 5,

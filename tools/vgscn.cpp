@@ -213,6 +213,9 @@ int cmd_fleet(const std::string& path, std::uint64_t homes, unsigned shards,
     }
     spec.fleet_faults = *plan;
   }
+  // --homes sets the population this run uses, which is also the one the
+  // fleet plan is checked against.
+  if (homes != 0) spec.population.homes = homes;
 
   // Validate-before-install: a plan that is malformed for this population
   // (or collides with the spec's own [faults]) is a validation error, the
@@ -226,11 +229,10 @@ int cmd_fleet(const std::string& path, std::uint64_t homes, unsigned shards,
   }
 
   fleet::FleetConfig cfg;
-  cfg.homes = homes;  // 0 = the spec's [population] (or a single home)
   cfg.shards = shards;
   cfg.max_resident = resident;
   cfg.workers = workers;
-  const std::uint64_t total = homes != 0 ? homes : tmpl->homes();
+  const std::uint64_t total = tmpl->homes();
   // An out-of-range run shape (e.g. --homes past FleetConfig::kMaxHomes) is
   // a usage error, caught here before anything is printed.
   try {
