@@ -6,8 +6,8 @@
 ///   * legacy — trace::Replayer over TraceReader's record structs (the
 ///     per-record oracle);
 ///   * batch  — trace::BatchReplayer over trace::BatchDecoder's columns
-///     (vectorized rule predicates + attention-mask skipping; see
-///     BatchDecoder.h / BatchReplayer.h).
+///     (flow-major postings of the upstream records; see BatchDecoder.h /
+///     BatchReplayer.h).
 ///
 /// Both parse/decode throughput (strict validation incl. per-frame CRC) and
 /// replay throughput are reported per back-end, and the two back-ends'

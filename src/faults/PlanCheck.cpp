@@ -50,11 +50,6 @@ struct Window {
   std::int64_t end;
 };
 
-Window window(List list, std::size_t index, std::uint64_t group,
-              sim::Duration start, sim::Duration end) {
-  return Window{{list, index}, group, start.ns(), end.ns()};
-}
-
 PlanDefect defect(List list, std::size_t index, std::string message) {
   return PlanDefect{{list, index}, std::nullopt, std::move(message)};
 }
@@ -62,6 +57,35 @@ PlanDefect defect(List list, std::size_t index, std::string message) {
 bool negative(std::initializer_list<sim::Duration> times) {
   return std::any_of(times.begin(), times.end(),
                      [](sim::Duration t) { return t.ns() < 0; });
+}
+
+/// The sum of \p times, or nullopt when it passes kMaxPlanNs. The times are
+/// >= 0 (each caller rejects negative ones first), so comparing each with
+/// what is left below the cap never overflows.
+std::optional<std::int64_t> end_within_cap(
+    std::initializer_list<sim::Duration> times) {
+  std::int64_t end = 0;
+  for (const sim::Duration t : times) {
+    if (t.ns() > kMaxPlanNs - end) return std::nullopt;
+    end += t.ns();
+  }
+  return end;
+}
+
+/// Appends entry \p index of \p list to \p ws as the window [start, start +
+/// spans) of \p group, or returns the defect when it ends past kMaxPlanNs.
+std::optional<PlanDefect> add_window(
+    std::vector<Window>& ws, List list, std::size_t index, std::uint64_t group,
+    std::initializer_list<sim::Duration> start_and_spans) {
+  const std::optional<std::int64_t> end = end_within_cap(start_and_spans);
+  if (!end) {
+    return defect(list, index,
+                  std::string{info(list).windows} +
+                      " window ends past the 2^62 ns time cap");
+  }
+  ws.push_back(
+      Window{{list, index}, group, start_and_spans.begin()->ns(), *end});
+  return std::nullopt;
 }
 
 /// Sorts \p ws by (list, group, start, end) and returns the first window
@@ -103,12 +127,15 @@ std::optional<PlanDefect> first_collision(const std::vector<Window>& fleet,
   return std::nullopt;
 }
 
+/// The windows of a base-plan list. An entry with a negative time or an end
+/// past the cap is left out: the base plan's own check rejects it.
 template <typename Fault>
 std::vector<Window> windows_of(List list, const std::vector<Fault>& faults) {
   std::vector<Window> ws;
   for (std::size_t i = 0; i < faults.size(); ++i) {
-    ws.push_back(window(list, i, 0, faults[i].start,
-                        faults[i].start + faults[i].duration));
+    if (!negative({faults[i].start, faults[i].duration})) {
+      add_window(ws, list, i, 0, {faults[i].start, faults[i].duration});
+    }
   }
   return ws;
 }
@@ -143,21 +170,29 @@ std::optional<PlanDefect> check_plan(const FaultPlan& plan,
     // spike is a meaningful scenario.
     const auto group = static_cast<std::uint64_t>(
         3 * static_cast<int>(f.where) + static_cast<int>(f.kind));
-    ws.push_back(window(List::kLinks, i, group, f.start, f.start + f.duration));
+    if (auto d =
+            add_window(ws, List::kLinks, i, group, {f.start, f.duration})) {
+      return d;
+    }
   }
   for (std::size_t i = 0; i < plan.cloud.size(); ++i) {
     const CloudOutage& f = plan.cloud[i];
     if (negative({f.start, f.duration})) {
       return defect(List::kCloud, i, "negative cloud-outage time");
     }
-    ws.push_back(window(List::kCloud, i, 0, f.start, f.start + f.duration));
+    if (auto d = add_window(ws, List::kCloud, i, 0, {f.start, f.duration})) {
+      return d;
+    }
   }
   for (std::size_t i = 0; i < plan.brownouts.size(); ++i) {
     const CloudBrownout& f = plan.brownouts[i];
     if (negative({f.start, f.duration, f.extra_latency})) {
       return defect(List::kBrownouts, i, "negative cloud-brownout time");
     }
-    ws.push_back(window(List::kBrownouts, i, 0, f.start, f.start + f.duration));
+    if (auto d =
+            add_window(ws, List::kBrownouts, i, 0, {f.start, f.duration})) {
+      return d;
+    }
   }
   for (std::size_t i = 0; i < plan.fcm.size(); ++i) {
     const FcmFault& f = plan.fcm[i];
@@ -167,7 +202,9 @@ std::optional<PlanDefect> check_plan(const FaultPlan& plan,
     if (!(f.drop_prob >= 0.0 && f.drop_prob <= 1.0)) {
       return defect(List::kFcm, i, "fcm drop_prob out of [0, 1]");
     }
-    ws.push_back(window(List::kFcm, i, 0, f.start, f.start + f.duration));
+    if (auto d = add_window(ws, List::kFcm, i, 0, {f.start, f.duration})) {
+      return d;
+    }
   }
   for (std::size_t i = 0; i < plan.devices.size(); ++i) {
     const DeviceFault& f = plan.devices[i];
@@ -180,14 +217,20 @@ std::optional<PlanDefect> check_plan(const FaultPlan& plan,
                         " out of range (" + std::to_string(devices) +
                         " owner devices)");
     }
-    ws.push_back(window(List::kDevices, i, static_cast<std::uint64_t>(f.device),
-                        f.start,
-                        f.duration.ns() == 0 ? sim::Duration{-1}
-                                             : f.start + f.duration));
+    if (auto d = add_window(ws, List::kDevices, i,
+                            static_cast<std::uint64_t>(f.device),
+                            {f.start, f.duration})) {
+      return d;
+    }
+    if (f.duration.ns() == 0) ws.back().end = -1;
   }
   for (std::size_t i = 0; i < plan.restarts.size(); ++i) {
     if (negative({plan.restarts[i].at})) {
       return defect(List::kRestarts, i, "negative restart time");
+    }
+    if (!end_within_cap({plan.restarts[i].at})) {
+      return defect(List::kRestarts, i,
+                    "guard restart past the 2^62 ns time cap");
     }
   }
 
@@ -234,8 +277,10 @@ std::optional<PlanDefect> check_plan(const fleet::FleetFaultPlan& plan,
     if (!(o.drop_prob >= 0.0 && o.drop_prob <= 1.0)) {
       return defect(List::kFcmOutages, i, "fcm-outage drop_prob out of [0, 1]");
     }
-    fcm.push_back(window(List::kFcmOutages, i, o.region, o.start,
-                         o.start + o.duration));
+    if (auto d = add_window(fcm, List::kFcmOutages, i, o.region,
+                            {o.start, o.duration})) {
+      return d;
+    }
   }
   // A capacity event's per-home cloud window can grow to its envelope: the
   // refusal plus the longest load-coupled re-admission stagger.
@@ -250,10 +295,12 @@ std::optional<PlanDefect> check_plan(const fleet::FleetFaultPlan& plan,
       return defect(List::kCloudCapacity, i,
                     "cloud-capacity fraction out of (0, 1]");
     }
-    envelopes.push_back(window(List::kCloudCapacity, i, 0, e.start,
-                               e.start + e.duration + e.recovery_spread));
-    capacity.push_back(
-        window(List::kCloudCapacity, i, 0, e.start, e.start + e.duration));
+    if (auto d = add_window(envelopes, List::kCloudCapacity, i, 0,
+                            {e.start, e.duration, e.recovery_spread})) {
+      return d;
+    }
+    // Inside the envelope, so within the cap.
+    add_window(capacity, List::kCloudCapacity, i, 0, {e.start, e.duration});
   }
   std::vector<Window> wan;
   for (std::size_t i = 0; i < plan.wan_degrades.size(); ++i) {
@@ -264,13 +311,19 @@ std::optional<PlanDefect> check_plan(const fleet::FleetFaultPlan& plan,
     if (negative({w.start, w.duration, w.extra_latency})) {
       return defect(List::kWanDegrades, i, "negative wan-degrade time");
     }
-    wan.push_back(window(List::kWanDegrades, i, w.region, w.start,
-                         w.start + w.duration));
+    if (auto d = add_window(wan, List::kWanDegrades, i, w.region,
+                            {w.start, w.duration})) {
+      return d;
+    }
   }
   for (std::size_t i = 0; i < plan.restart_waves.size(); ++i) {
     const fleet::GuardRestartWave& w = plan.restart_waves[i];
     if (negative({w.start, w.stagger})) {
       return defect(List::kRestartWaves, i, "negative restart-wave time");
+    }
+    if (!end_within_cap({w.start, w.stagger})) {
+      return defect(List::kRestartWaves, i,
+                    "restart wave ends past the 2^62 ns time cap");
     }
     if (!(w.fraction > 0.0 && w.fraction <= 1.0)) {
       return defect(List::kRestartWaves, i,
@@ -289,9 +342,9 @@ std::optional<PlanDefect> check_plan(const fleet::FleetFaultPlan& plan,
   for (std::size_t i = 0; i < base.links.size(); ++i) {
     const LinkFault& f = base.links[i];
     if (f.where == LinkFault::Where::kWan &&
-        f.kind == LinkFault::Kind::kLatencySpike) {
-      base_wan_latency.push_back(
-          window(List::kLinks, i, 0, f.start, f.start + f.duration));
+        f.kind == LinkFault::Kind::kLatencySpike &&
+        !negative({f.start, f.duration})) {
+      add_window(base_wan_latency, List::kLinks, i, 0, {f.start, f.duration});
     }
   }
   if (auto d = first_collision(fcm, windows_of(List::kFcm, base.fcm),

@@ -18,9 +18,15 @@
 ///
 /// Windows are half-open. Before the neighbour check they are sorted by
 /// (start, end), so whether two windows overlap never depends on the order
-/// the plan lists them in.
+/// the plan lists them in. No window may end past kMaxPlanNs.
 
 namespace vg::faults {
+
+/// The latest a plan window may end, and a restart happen: 2^62 ns (about
+/// 146 years), the cap the `.scn` loader puts on every time it reads and the
+/// `.vgt` format on trace times. Checked without overflow, so plans built in
+/// C++ with times near int64's limit are rejected rather than wrapped.
+inline constexpr std::int64_t kMaxPlanNs = std::int64_t{1} << 62;
 
 /// One entry of a plan: which list, and its index in that list.
 struct PlanEntry {

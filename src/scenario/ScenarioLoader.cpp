@@ -64,22 +64,49 @@ bool parse_bool(const ScnEntry& e, const std::string& tok) {
   fail(e, "'" + tok + "' is not a boolean (on/off/true/false)");
 }
 
-/// Seconds as a decimal number, or an exact "<ns>ns" count (the serializer
-/// falls back to the latter when no decimal-seconds string round-trips).
-sim::Duration parse_duration(const ScnEntry& e, const std::string& tok,
-                             const std::string& what) {
-  if (tok.size() > 2 && tok.compare(tok.size() - 2, 2, "ns") == 0) {
-    return sim::Duration{
-        parse_i64(e, tok.substr(0, tok.size() - 2), what)};
-  }
-  return sim::from_seconds(parse_double(e, tok, what));
+/// Every time and span a `.scn` names is capped at 2^62 ns (about 146
+/// years), the cap trace times and plan windows share: a window end, start
+/// plus duration, then stays inside int64, and faults::check_plan rejects
+/// one past the cap.
+constexpr std::int64_t kMaxScnNs = faults::kMaxPlanNs;
+
+[[noreturn]] void fail_past_cap(const ScnEntry& e, const std::string& what,
+                                const std::string& tok) {
+  fail(e, what + " '" + tok + "' is past the 2^62 ns time cap");
 }
 
+/// A duration >= 0 and at most kMaxScnNs: a decimal count of units (\p per_s
+/// of them to the second), or an exact "<ns>ns" count (the serializer falls
+/// back to the latter when no decimal string round-trips). Both bounds are
+/// checked on the parsed number, before sim::from_seconds turns it into int64
+/// nanoseconds, which past int64 would be undefined.
 sim::Duration parse_nonneg_duration(const ScnEntry& e, const std::string& tok,
-                                    const std::string& what) {
-  const sim::Duration d = parse_duration(e, tok, what);
-  if (d.ns() < 0) fail(e, what + " must be >= 0, got '" + tok + "'");
-  return d;
+                                    const std::string& what,
+                                    double per_s = 1.0) {
+  const auto negative = [&] {
+    fail(e, what + " must be >= 0, got '" + tok + "'");
+  };
+  if (tok.size() > 2 && tok.compare(tok.size() - 2, 2, "ns") == 0) {
+    const std::int64_t ns = parse_i64(e, tok.substr(0, tok.size() - 2), what);
+    if (ns < 0) negative();
+    if (ns > kMaxScnNs) fail_past_cap(e, what, tok);
+    return sim::Duration{ns};
+  }
+  const double s = parse_double(e, tok, what) / per_s;
+  // from_seconds truncates toward zero: a value comes out negative exactly
+  // when it is -1 ns or less.
+  if (s * 1e9 <= -1.0) negative();
+  if (s * 1e9 > static_cast<double>(kMaxScnNs)) fail_past_cap(e, what, tok);
+  return sim::from_seconds(s);
+}
+
+/// Seconds kept as a double (the capture loop's gap model), at most
+/// kMaxScnNs like every other time.
+double parse_seconds(const ScnEntry& e, const std::string& tok,
+                     const std::string& what) {
+  const double s = parse_double(e, tok, what);
+  if (s * 1e9 > static_cast<double>(kMaxScnNs)) fail_past_cap(e, what, tok);
+  return s;
 }
 
 net::IpAddress parse_ip(const ScnEntry& e, const std::string& tok) {
@@ -117,18 +144,9 @@ double parse_prob(const ScnEntry& e, const std::string& tok,
   return v;
 }
 
-/// Milliseconds as a decimal number, or an exact "<ns>ns" count (same
-/// fallback contract as parse_duration; the serializer emits whichever
-/// round-trips).
+/// Milliseconds, with parse_nonneg_duration's "<ns>ns" fallback and bounds.
 sim::Duration parse_extra_ms(const ScnEntry& e, const std::string& v) {
-  sim::Duration d;
-  if (v.size() > 2 && v.compare(v.size() - 2, 2, "ns") == 0) {
-    d = sim::Duration{parse_i64(e, v.substr(0, v.size() - 2), "extra_ms")};
-  } else {
-    d = sim::from_seconds(parse_double(e, v, "extra_ms") / 1000.0);
-  }
-  if (d.ns() < 0) fail(e, "extra_ms must be >= 0");
-  return d;
+  return parse_nonneg_duration(e, v, "extra_ms", 1000.0);
 }
 
 // --- per-section decoders ---------------------------------------------------
@@ -478,14 +496,14 @@ struct Decoder {
       spec.schedule.boot = parse_nonneg_duration(e, one_token(e), "boot_s");
       has_loop_keys = true;
     } else if (e.key == "gap_base_s") {
-      spec.schedule.gap_base_s = parse_double(e, one_token(e), "gap_base_s");
+      spec.schedule.gap_base_s = parse_seconds(e, one_token(e), "gap_base_s");
       if (spec.schedule.gap_base_s < 4.0) {
         fail(e, "gap_base_s must be >= 4 (the recognizer's idle gap is 3 s)");
       }
       has_loop_keys = true;
     } else if (e.key == "gap_jitter_s") {
       spec.schedule.gap_jitter_s =
-          parse_double(e, one_token(e), "gap_jitter_s");
+          parse_seconds(e, one_token(e), "gap_jitter_s");
       if (spec.schedule.gap_jitter_s < 0) fail(e, "gap_jitter_s must be >= 0");
       has_loop_keys = true;
     } else if (e.key == "tail_s") {

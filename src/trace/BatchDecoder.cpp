@@ -2,10 +2,91 @@
 
 #include <algorithm>
 #include <limits>
+#include <string>
 
 #include "trace/TraceInput.h"
 
 namespace vg::trace {
+
+namespace {
+
+// Rejections leave the frame loop through these out-of-line throws, so every
+// check there inlines to a compare and a predicted branch. The wording is
+// TraceReader's, check for check.
+[[noreturn, gnu::cold, gnu::noinline]] void reject(const char* what) {
+  throw TraceError{what};
+}
+[[noreturn, gnu::cold, gnu::noinline]] void truncated(const char* what) {
+  throw TraceError{std::string{"truncated trace: expected "} + what};
+}
+[[noreturn, gnu::cold, gnu::noinline]] void reject_crc(std::uint64_t frame) {
+  throw TraceError{"frame CRC mismatch at frame " + std::to_string(frame)};
+}
+[[noreturn, gnu::cold, gnu::noinline]] void reject_kind(std::uint8_t kind) {
+  throw TraceError{"unknown frame kind " + std::to_string(kind)};
+}
+
+std::uint32_t le32(const std::uint8_t* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         (static_cast<std::uint32_t>(p[1]) << 8) |
+         (static_cast<std::uint32_t>(p[2]) << 16) |
+         (static_cast<std::uint32_t>(p[3]) << 24);
+}
+
+/// ByteCursor's reads over one frame payload (at most 255 bytes), with the
+/// same bounds checks in the same order and the same diagnostics. It is kept
+/// apart from ByteCursor so that TraceReader, the reference this decoder is
+/// tested against, shares none of the fast path.
+class PayloadCursor {
+ public:
+  PayloadCursor(const std::uint8_t* p, std::size_t n) : p_(p), end_(p + n) {}
+
+  [[nodiscard]] bool done() const { return p_ == end_; }
+
+  std::uint8_t u8() {
+    need(1, "u8");
+    return *p_++;
+  }
+  std::uint16_t u16() {
+    need(2, "u16");
+    const auto v = static_cast<std::uint16_t>(p_[0] | (p_[1] << 8));
+    p_ += 2;
+    return v;
+  }
+  std::uint32_t u32() {
+    need(4, "u32");
+    const std::uint32_t v = le32(p_);
+    p_ += 4;
+    return v;
+  }
+  /// Unsigned LEB128. Only the tenth byte can overflow 64 bits, so the
+  /// overflow checks sit after the loop over the first nine.
+  [[gnu::always_inline]] std::uint64_t varint() {
+    std::uint64_t v = 0;
+    for (int shift = 0; shift < 63; shift += 7) {
+      need(1, "varint");
+      const std::uint8_t b = *p_++;
+      v |= static_cast<std::uint64_t>(b & 0x7F) << shift;
+      if (b < 0x80) return v;
+    }
+    need(1, "varint");
+    const std::uint8_t last = *p_++;
+    if ((last & 0x7E) != 0) reject("varint overflows 64 bits");
+    if (last < 0x80) return v | (static_cast<std::uint64_t>(last) << 63);
+    need(1, "varint");  // an eleventh byte is always an overflow
+    reject("varint overflows 64 bits");
+  }
+
+ private:
+  void need(std::size_t n, const char* what) const {
+    if (static_cast<std::size_t>(end_ - p_) < n) [[unlikely]] truncated(what);
+  }
+
+  const std::uint8_t* p_;
+  const std::uint8_t* end_;
+};
+
+}  // namespace
 
 TraceRecord ColumnBatch::record(std::size_t i) const {
   TraceRecord rec;
@@ -40,14 +121,13 @@ void BatchDecoder::decode(std::span<const std::uint8_t> bytes,
   out.kinds.clear();
   out.upstream.clear();
   out.tls_types.clear();
-  out.rule_class.clear();
   out.flow.clear();
   out.when_ns.clear();
   out.lengths.clear();
   out.dns.clear();
   out.faults.clear();
   out.flow_begin_at.clear();
-  out.attention.clear();
+  out.up_offsets.assign(1, 0);
   out.tls_records = 0;
   out.datagrams = 0;
   out.end_time = sim::TimePoint{};
@@ -80,96 +160,107 @@ void BatchDecoder::decode(std::span<const std::uint8_t> bytes,
   out.when_ns.reserve(bound);
   out.lengths.reserve(bound);
 
+  constexpr std::uint8_t kTlsByte =
+      static_cast<std::uint8_t>(FrameKind::kTlsRecord);
+  constexpr std::uint8_t kDgramByte =
+      static_cast<std::uint8_t>(FrameKind::kDatagram);
+  constexpr std::uint8_t kAppData =
+      static_cast<std::uint8_t>(net::TlsContentType::kApplicationData);
+
+  // One pass over the frames: each frame's extent is checked once, its
+  // payload parsed in place, and each flow's upstream data records counted
+  // into up_offsets[flow + 1] for the postings below.
+  const std::uint8_t* const end = bytes.data() + bytes.size();
+  const std::uint8_t* p = end - c.remaining();
   std::int64_t last_ns = 0;
   std::uint64_t frames = 0;
-  while (!c.done()) {
-    const std::uint8_t size = c.u8();
-    if (size == 0) throw TraceError{"zero-size frame"};
-    const std::uint8_t* payload = c.bytes(size, "frame payload");
-    const std::uint32_t stored_crc = c.u32();
-    if (crc32(payload, size) != stored_crc) {
-      throw TraceError{"frame CRC mismatch at frame " + std::to_string(frames)};
-    }
+  std::uint64_t tls_records = 0;
+  std::uint64_t datagrams = 0;
+  std::size_t flows = 0;
+  while (p != end) {
+    const std::size_t size = *p;
+    if (size == 0) reject("zero-size frame");
+    const auto left = static_cast<std::size_t>(end - p) - 1;
+    if (left < size + 4) truncated(left < size ? "frame payload" : "u32");
+    const std::uint8_t* const payload = p + 1;
+    p = payload + size + 4;
+    if (crc32(payload, size) != le32(payload + size)) reject_crc(frames);
 
-    ByteCursor p{payload, size};
-    const std::uint8_t kind_byte = p.u8();
-    last_ns = checked_advance(last_ns, p.varint());
+    PayloadCursor q{payload, size};
+    const std::uint8_t kind = q.u8();
+    last_ns = checked_advance(last_ns, q.varint());
 
     std::uint8_t up = 1;
-    std::uint8_t tls_type =
-        static_cast<std::uint8_t>(net::TlsContentType::kApplicationData);
+    std::uint8_t tls_type = kAppData;
     std::int32_t flow_index = -1;
     std::uint32_t length = 0;
-
-    switch (kind_byte) {
-      case static_cast<std::uint8_t>(FrameKind::kTlsRecord):
-      case static_cast<std::uint8_t>(FrameKind::kDatagram): {
-        const bool tls =
-            kind_byte == static_cast<std::uint8_t>(FrameKind::kTlsRecord);
-        const std::uint64_t flow = p.varint();
-        if (flow >= out.flows.size()) {
-          throw TraceError{tls ? "record references undefined flow"
-                               : "datagram references undefined flow"};
+    switch (kind) {
+      case kTlsByte:
+      case kDgramByte: {
+        const bool tls = kind == kTlsByte;
+        const std::uint64_t flow = q.varint();
+        if (flow >= flows) {
+          reject(tls ? "record references undefined flow"
+                     : "datagram references undefined flow");
         }
         flow_index = static_cast<std::int32_t>(flow);
-        const std::uint8_t dir = p.u8();
-        if (dir > 1) throw TraceError{"bad direction byte"};
+        const std::uint8_t dir = q.u8();
+        if (dir > 1) reject("bad direction byte");
         up = dir == 0 ? 1 : 0;
-        if (tls) tls_type = p.u8();
-        const std::uint64_t len = p.varint();
+        if (tls) tls_type = q.u8();
+        const std::uint64_t len = q.varint();
         if (len > 0xFFFFFFFFull) {
-          throw TraceError{tls ? "record length overflows"
-                               : "datagram length overflows"};
+          reject(tls ? "record length overflows" : "datagram length overflows");
         }
         length = static_cast<std::uint32_t>(len);
-        ++(tls ? out.tls_records : out.datagrams);
+        out.up_offsets[flow + 1] += up;
+        ++(tls ? tls_records : datagrams);
         break;
       }
       case static_cast<std::uint8_t>(FrameKind::kDnsAnswer): {
-        const std::uint8_t domain = p.u8();
+        const std::uint8_t domain = q.u8();
         if (domain != kDomainAvs && domain != kDomainGoogle) {
-          throw TraceError{"bad DNS domain code"};
+          reject("bad DNS domain code");
         }
-        out.dns.push_back({frames, domain, net::IpAddress{p.u32()}});
+        out.dns.push_back({frames, domain, net::IpAddress{q.u32()}});
         break;
       }
       case static_cast<std::uint8_t>(FrameKind::kFlowBegin): {
-        const std::uint64_t flow = p.varint();
-        if (flow != out.flows.size()) {
-          throw TraceError{"flow indices must be dense and in order"};
-        }
+        const std::uint64_t flow = q.varint();
+        if (flow != flows) reject("flow indices must be dense and in order");
         flow_index = static_cast<std::int32_t>(flow);
-        const std::uint8_t proto = p.u8();
-        if (proto > 1) throw TraceError{"bad protocol byte"};
+        const std::uint8_t proto = q.u8();
+        if (proto > 1) reject("bad protocol byte");
         TraceFlow fl;
         fl.protocol = proto == 1 ? net::Protocol::kUdp : net::Protocol::kTcp;
-        fl.speaker.ip = net::IpAddress{p.u32()};
-        fl.speaker.port = p.u16();
-        fl.server.ip = net::IpAddress{p.u32()};
-        fl.server.port = p.u16();
+        fl.speaker.ip = net::IpAddress{q.u32()};
+        fl.speaker.port = q.u16();
+        fl.server.ip = net::IpAddress{q.u32()};
+        fl.server.port = q.u16();
         fl.first_seen = sim::TimePoint{last_ns};
         out.flows.push_back(fl);
         out.flow_begin_at.push_back(frames);
+        out.up_offsets.push_back(0);
+        ++flows;
         break;
       }
       case static_cast<std::uint8_t>(FrameKind::kFault): {
-        const std::uint8_t code = p.u8();
-        if (code > kMaxFaultCode) throw TraceError{"bad fault code"};
-        out.faults.push_back({frames, code, p.varint()});
+        const std::uint8_t code = q.u8();
+        if (code > kMaxFaultCode) reject("bad fault code");
+        out.faults.push_back({frames, code, q.varint()});
         break;
       }
       default:
-        throw TraceError{"unknown frame kind " + std::to_string(kind_byte)};
+        reject_kind(kind);
     }
-    if (!p.done()) throw TraceError{"trailing bytes in frame payload"};
+    if (!q.done()) reject("trailing bytes in frame payload");
 
-    out.kinds.push_back(kind_byte);
+    out.kinds.push_back(kind);
     out.upstream.push_back(up);
     out.tls_types.push_back(tls_type);
     out.flow.push_back(flow_index);
     out.when_ns.push_back(last_ns);
     out.lengths.push_back(length);
-    out.end_time = sim::TimePoint{last_ns};
     ++frames;
   }
 
@@ -178,69 +269,39 @@ void BatchDecoder::decode(std::span<const std::uint8_t> bytes,
                      std::to_string(declared_frames) + ", stream has " +
                      std::to_string(frames)};
   }
+  out.tls_records = tls_records;
+  out.datagrams = datagrams;
+  out.end_time = sim::TimePoint{last_ns};
 
-  // Derived columns, computed wholesale so the loops stay branch-light and
-  // vectorizable: the rule predicates over the length column, and the
-  // attention bitmask over kinds/directions.
+  // Flow-major postings: prefix-sum the per-flow counts, then scatter the
+  // upstream data records into their flows' buckets. The rows are 32-bit; a
+  // varint delta stream cannot reach 2^32 frames without the header count
+  // (u64) still agreeing, so guard rather than truncate.
   const std::size_t n = frames;
-  out.rule_class.resize(n);
-  const std::uint32_t* len = out.lengths.data();
-  std::uint8_t* cls = out.rule_class.data();
-  for (std::size_t i = 0; i < n; ++i) {
-    cls[i] = guard::rules::len_class(len[i]);
-  }
-
-  out.attention.assign((n + 63) / 64, 0);
-  const std::uint8_t* kind = out.kinds.data();
-  const std::uint8_t* up = out.upstream.data();
-  std::uint64_t* words = out.attention.data();
-  for (std::size_t i = 0; i < n; ++i) {
-    const bool data_rec =
-        kind[i] <= static_cast<std::uint8_t>(FrameKind::kDatagram);
-    const bool interesting =
-        (data_rec && up[i] != 0) ||
-        kind[i] == static_cast<std::uint8_t>(FrameKind::kDnsAnswer) ||
-        kind[i] == static_cast<std::uint8_t>(FrameKind::kFlowBegin);
-    words[i / 64] |= std::uint64_t{interesting} << (i % 64);
-  }
-
-  // Flow-major postings (counting sort of the upstream data records by
-  // flow). The rows are 32-bit; a varint delta stream cannot reach 2^32
-  // frames without the header count (u64) still agreeing, so guard rather
-  // than truncate.
   if (n > std::numeric_limits<std::uint32_t>::max()) {
     throw TraceError{"trace too large for flow-major postings"};
   }
-  const std::size_t nf = out.flows.size();
-  constexpr std::uint8_t kDgramByte =
-      static_cast<std::uint8_t>(FrameKind::kDatagram);
-  constexpr std::uint8_t kTlsByte =
-      static_cast<std::uint8_t>(FrameKind::kTlsRecord);
-  out.up_offsets.assign(nf + 1, 0);
-  const std::int32_t* fl = out.flow.data();
-  for (std::size_t i = 0; i < n; ++i) {
-    if (kind[i] <= kDgramByte && up[i] != 0) {
-      ++out.up_offsets[static_cast<std::size_t>(fl[i]) + 1];
-    }
-  }
-  for (std::size_t k = 0; k < nf; ++k) {
-    out.up_offsets[k + 1] += out.up_offsets[k];
-  }
-  const std::uint32_t total = out.up_offsets[nf];
+  std::vector<std::uint32_t>& off = out.up_offsets;
+  for (std::size_t k = 0; k < flows; ++k) off[k + 1] += off[k];
+  const std::uint32_t total = off[flows];
   out.up_when.resize(total);
   out.up_len.resize(total);
   out.up_pos.resize(total);
   out.up_cls.resize(total);
   out.up_tls.resize(total);
-  out.up_fill.assign(out.up_offsets.begin(), out.up_offsets.end() - 1);
-  const std::int64_t* when = out.when_ns.data();
+  out.up_fill.assign(off.begin(), off.end() - 1);
+  const std::uint8_t* const kind = out.kinds.data();
+  const std::uint8_t* const up = out.upstream.data();
+  const std::int32_t* const fl = out.flow.data();
+  const std::int64_t* const when = out.when_ns.data();
+  const std::uint32_t* const len = out.lengths.data();
   for (std::size_t i = 0; i < n; ++i) {
     if (kind[i] > kDgramByte || up[i] == 0) continue;
     const std::uint32_t at = out.up_fill[static_cast<std::size_t>(fl[i])]++;
     out.up_when[at] = when[i];
     out.up_len[at] = len[i];
     out.up_pos[at] = static_cast<std::uint32_t>(i);
-    out.up_cls[at] = cls[i];
+    out.up_cls[at] = guard::rules::len_class(len[i]);
     out.up_tls[at] = kind[i] == kTlsByte ? 1 : 0;
   }
 }

@@ -13,26 +13,20 @@
 /// TraceReader materializes an array-of-structs: one ~48-byte TraceRecord per
 /// frame, most of whose fields any given consumer never touches. The batch
 /// decoder instead fills parallel columns — kinds, directions, absolute
-/// timestamps, lengths — plus two derived columns the replay hot loop feeds
-/// on directly:
+/// timestamps, lengths — plus the flow-major postings of the upstream data
+/// records that BatchReplayer's per-flow pass reads, each posting carrying
+/// guard::rules::len_class() of its length.
 ///
-///   * `rule_class`: guard::rules::len_class() of every length, i.e. the
-///     frequent-length / pair / fixed-pattern rule predicates of §IV-B1
-///     evaluated wholesale over the length column (simple compares the
-///     compiler vectorizes), so the sequential replay pass only *adjudicates*
-///     records the predicates marked;
-///   * `attention`: a bitmask with one bit per record, set for the records
-///     that can affect recognition state (upstream data records, DNS answers,
-///     flow begins). Downstream data and fault annotations only contribute
-///     to tallies, which the decoder pre-counts — the replayer skips those
-///     records in 64-frame strides without ever loading them.
-///
-/// Validation is exactly as strict as TraceReader's (bad magic/version/CRC,
-/// short frames, unknown kinds, out-of-range or out-of-order flow indices,
-/// varint overflow, trailing payload bytes, header frame-count mismatch all
-/// raise TraceError); a property test pins column-for-field equality against
-/// TraceReader over random traces. Decoding reads straight off the input
-/// span, so an mmap'd file (TraceBytes) is never copied.
+/// One loop over the frames checks each frame's extent once (size byte,
+/// payload, CRC), parses the payload in place and counts each flow's
+/// upstream data records; a second loop scatters those records into their
+/// flows' buckets. Validation is exactly TraceReader's (bad magic/version/
+/// CRC, short frames, unknown kinds, out-of-range or out-of-order flow
+/// indices, varint overflow, trailing payload bytes, header frame-count
+/// mismatch all raise TraceError), with the same diagnostic for every
+/// rejection; property tests pin column-for-field equality and message-for-
+/// message rejection against TraceReader. Decoding reads straight off the
+/// input span, so an mmap'd file (TraceBytes) is never copied.
 
 namespace vg::trace {
 
@@ -45,7 +39,6 @@ struct ColumnBatch {
   std::vector<std::uint8_t> upstream;   // 1 = upstream; 1 for non-data kinds
                                         // (mirrors TraceRecord's default)
   std::vector<std::uint8_t> tls_types;  // meaningful for kTlsRecord only
-  std::vector<std::uint8_t> rule_class; // guard::rules::len_class(length)
   std::vector<std::int32_t> flow;       // -1 for kDnsAnswer / kFault
   std::vector<std::int64_t> when_ns;    // absolute, from the delta chain
   std::vector<std::uint32_t> lengths;   // 0 for non-data kinds
@@ -66,10 +59,6 @@ struct ColumnBatch {
   /// flow_begin_at[k] = record row of flows[k]'s begin frame.
   std::vector<std::uint64_t> flow_begin_at;
 
-  /// One bit per record (64 records per word, bit i%64 of word i/64): set
-  /// iff the record can affect recognition state.
-  std::vector<std::uint64_t> attention;
-
   /// Flow-major postings of the upstream data records (counting sort by
   /// flow): bucket k = rows [up_offsets[k], up_offsets[k+1]) of the up_*
   /// arrays, in stream order within the bucket. BatchReplayer's per-flow
@@ -80,13 +69,13 @@ struct ColumnBatch {
   std::vector<std::int64_t> up_when;      // when_ns of the record
   std::vector<std::uint32_t> up_len;      // lengths of the record
   std::vector<std::uint32_t> up_pos;      // record row (spike ordering)
-  std::vector<std::uint8_t> up_cls;       // rule_class of the record
+  std::vector<std::uint8_t> up_cls;       // guard::rules::len_class(up_len)
   std::vector<std::uint8_t> up_tls;       // 1 = TLS record, 0 = datagram
   /// Scatter cursors for the counting sort; contents meaningless after
   /// decode (kept only so repeated decodes reuse the capacity).
   std::vector<std::uint32_t> up_fill;
 
-  // Wholesale tallies (include records the attention mask skips).
+  // Tallies over all records, downstream ones included.
   std::uint64_t tls_records{0};
   std::uint64_t datagrams{0};
 

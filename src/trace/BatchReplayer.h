@@ -25,9 +25,9 @@
 ///     read sequentially from the decoder's postings (`up_offsets`/`up_*`),
 ///     so the idle clock, heartbeat filter, spike state and classifier DFA
 ///     live in registers instead of a scattered flow table. Per-record rule
-///     evaluation consults the decoder's `rule_class` column: the DFA only
-///     adjudicates records the vectorized predicates marked, everything else
-///     takes the SpikeClassifier::feed_nonrule bookkeeping path. A spike's
+///     evaluation consults the posting's `up_cls` length class: the DFA only
+///     adjudicates lengths in the rule alphabet, everything else takes the
+///     SpikeClassifier::feed_nonrule bookkeeping path. A spike's
 ///     classify timeout only ever settles that flow's own spike, so it is a
 ///     register compare here, not a shared timer queue.
 ///

@@ -211,7 +211,7 @@ class ByteCursor {
       if (shift >= 64 || (shift == 63 && (b & 0x7E) != 0)) {
         throw TraceError{"varint overflows 64 bits"};
       }
-      v |= std::uint64_t{b & 0x7F} << shift;
+      v |= static_cast<std::uint64_t>(b & 0x7F) << shift;
       if ((b & 0x80) == 0) return v;
       shift += 7;
     }

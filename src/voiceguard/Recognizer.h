@@ -78,11 +78,11 @@ inline constexpr std::size_t kDecisionWindow = 7;
 inline constexpr std::size_t kSpikePrefixKeep = 8;
 
 /// Length-class bits: which role(s) a wire length can play in the rule table
-/// above. The columnar replay path computes one class byte per record with
-/// vectorizable compares over a length column (trace::BatchDecoder); records
-/// whose class is 0 can neither complete nor keep alive any rule, so the
-/// batch replayer routes them through SpikeClassifier::feed_nonrule instead
-/// of the full per-record rule evaluation.
+/// above. The columnar replay path stores one class byte with each upstream
+/// record it posts (trace::BatchDecoder); records whose class is 0 can
+/// neither complete nor keep alive any rule, so the batch replayer routes
+/// them through SpikeClassifier::feed_nonrule instead of the full per-record
+/// rule evaluation.
 enum LenClass : std::uint8_t {
   kLenFrequent = 1u << 0,      // kP138 or kP75
   kLenPairFirst = 1u << 1,     // kP77
@@ -178,7 +178,7 @@ class SpikeClassifier {
   /// its hot loop.
   std::optional<SpikeClass> feed(std::uint32_t len);
 
-  /// Fast path for a record the vectorized predicates already proved is
+  /// Fast path for a record whose length class already proved it is
   /// outside the rule alphabet (rules::len_class(len) == 0): such a length
   /// can complete no rule and kills every fixed-pattern cursor, so only the
   /// record counter / previous-length register / forced-kUnknown bookkeeping

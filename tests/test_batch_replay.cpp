@@ -5,8 +5,10 @@
 /// randomized trace population, and the mmap/fread input paths against each
 /// other.
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
+#include <optional>
 #include <random>
 #include <string>
 #include <vector>
@@ -207,12 +209,11 @@ std::vector<std::string> golden_corpus() {
 
 // --- BatchDecoder vs TraceReader -------------------------------------------
 
-void expect_decoder_parity(const std::vector<std::uint8_t>& bytes,
-                           const std::string& context) {
-  const TraceReader reader = TraceReader::parse(bytes);
-  const ColumnBatch batch = BatchDecoder::decode(
-      std::span<const std::uint8_t>{bytes.data(), bytes.size()});
-
+/// Column-for-field parity of \p batch against the reference \p reader: meta,
+/// flows, every record row, the sparse side columns, the tallies and the
+/// flow-major postings.
+void expect_columns_match(const TraceReader& reader, const ColumnBatch& batch,
+                          const std::string& context) {
   ASSERT_EQ(batch.size(), reader.records().size()) << context;
   ASSERT_EQ(batch.meta.scenario, reader.meta().scenario) << context;
   ASSERT_EQ(batch.meta.seed, reader.meta().seed) << context;
@@ -230,6 +231,9 @@ void expect_decoder_parity(const std::vector<std::uint8_t>& bytes,
 
   std::uint64_t tls = 0;
   std::uint64_t dgrams = 0;
+  std::size_t dns = 0;
+  std::size_t faults = 0;
+  std::size_t begins = 0;
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const trace::TraceRecord& want = reader.records()[i];
     const trace::TraceRecord got = batch.record(i);
@@ -243,13 +247,59 @@ void expect_decoder_parity(const std::vector<std::uint8_t>& bytes,
     ASSERT_EQ(got.dns_answer, want.dns_answer) << context << " record " << i;
     ASSERT_EQ(got.fault_code, want.fault_code) << context << " record " << i;
     ASSERT_EQ(got.fault_param, want.fault_param) << context << " record " << i;
-    ASSERT_EQ(batch.rule_class[i], guard::rules::len_class(want.length))
-        << context << " record " << i;
     tls += want.kind == FrameKind::kTlsRecord;
     dgrams += want.kind == FrameKind::kDatagram;
+    dns += want.kind == FrameKind::kDnsAnswer;
+    faults += want.kind == FrameKind::kFault;
+    if (want.kind == FrameKind::kFlowBegin) {
+      ASSERT_LT(begins, batch.flow_begin_at.size()) << context;
+      ASSERT_EQ(batch.flow_begin_at[begins++], i) << context;
+    }
   }
   ASSERT_EQ(batch.tls_records, tls) << context;
   ASSERT_EQ(batch.datagrams, dgrams) << context;
+  ASSERT_EQ(batch.dns.size(), dns) << context;
+  ASSERT_EQ(batch.faults.size(), faults) << context;
+  ASSERT_EQ(batch.flow_begin_at.size(), begins) << context;
+
+  // Postings: bucket k holds flow k's upstream data records in stream order.
+  const std::vector<std::uint32_t>& off = batch.up_offsets;
+  ASSERT_EQ(off.size(), reader.flows().size() + 1) << context;
+  ASSERT_EQ(off.front(), 0u) << context;
+  ASSERT_TRUE(std::is_sorted(off.begin(), off.end())) << context;
+  for (const std::size_t n : {batch.up_when.size(), batch.up_len.size(),
+                              batch.up_pos.size(), batch.up_cls.size(),
+                              batch.up_tls.size()}) {
+    ASSERT_EQ(n, off.back()) << context;
+  }
+  std::vector<std::uint32_t> next(off.begin(), off.end() - 1);
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const trace::TraceRecord& want = reader.records()[i];
+    const bool data = want.kind == FrameKind::kTlsRecord ||
+                      want.kind == FrameKind::kDatagram;
+    if (!data || !want.upstream) continue;
+    const auto k = static_cast<std::size_t>(want.flow);
+    ASSERT_LT(next[k], off[k + 1]) << context << " record " << i;
+    const std::uint32_t j = next[k]++;
+    ASSERT_EQ(batch.up_pos[j], i) << context << " posting " << j;
+    ASSERT_EQ(batch.up_when[j], want.when.ns()) << context << " posting " << j;
+    ASSERT_EQ(batch.up_len[j], want.length) << context << " posting " << j;
+    ASSERT_EQ(batch.up_tls[j], want.kind == FrameKind::kTlsRecord ? 1 : 0)
+        << context << " posting " << j;
+    ASSERT_EQ(batch.up_cls[j], guard::rules::len_class(batch.up_len[j]))
+        << context << " posting " << j;
+  }
+  for (std::size_t k = 0; k + 1 < off.size(); ++k) {
+    ASSERT_EQ(next[k], off[k + 1]) << context << " flow " << k;
+  }
+}
+
+void expect_decoder_parity(const std::vector<std::uint8_t>& bytes,
+                           const std::string& context) {
+  const TraceReader reader = TraceReader::parse(bytes);
+  const ColumnBatch batch = BatchDecoder::decode(
+      std::span<const std::uint8_t>{bytes.data(), bytes.size()});
+  expect_columns_match(reader, batch, context);
 }
 
 TEST(BatchDecoder, VarintBoundaryLengthsAndFaults) {
@@ -297,7 +347,6 @@ TEST(BatchDecoder, EmptyTraceDecodesAndReplaysToNothing) {
       std::span<const std::uint8_t>{bytes.data(), bytes.size()});
   EXPECT_EQ(batch.size(), 0u);
   EXPECT_TRUE(batch.flows.empty());
-  EXPECT_TRUE(batch.attention.empty());
   // The counting-sort prefix sums must still be well-formed over zero flows.
   ASSERT_EQ(batch.up_offsets.size(), 1u);
   EXPECT_EQ(batch.up_offsets[0], 0u);
@@ -355,8 +404,8 @@ TEST(BatchDecoder, SingleRecordTraces) {
 
 TEST(BatchDecoder, FinalFrameFaultEndsTheTraceCleanly) {
   // A spike is still accumulating when the last frame arrives, and that last
-  // frame is a fault annotation: flowless, skipped by the attention mask,
-  // yet it defines end_time and the spike must still finalize at end of
+  // frame is a fault annotation: flowless and outside the postings, yet it
+  // defines end_time and the spike must still finalize at end of
   // trace exactly like the oracle.
   TraceWriter::Meta meta;
   meta.scenario = "tail-fault";
@@ -379,8 +428,6 @@ TEST(BatchDecoder, FinalFrameFaultEndsTheTraceCleanly) {
       std::span<const std::uint8_t>{bytes.data(), bytes.size()});
   ASSERT_EQ(batch.faults.size(), 1u);
   EXPECT_EQ(batch.faults[0].index, batch.size() - 1);
-  // The tail fault contributes tallies but no recognition work.
-  EXPECT_EQ((batch.attention.back() >> ((batch.size() - 1) % 64)) & 1, 0u);
   EXPECT_EQ(batch.end_time, at_ms(2002));
 
   const trace::ReplayResult r = boundary_parity(bytes, "tail-fault");
@@ -417,6 +464,157 @@ TEST(BatchDecoder, RejectsCorruptionLikeTraceReader) {
       decoder_throws = true;
     }
     ASSERT_EQ(reader_throws, decoder_throws) << "offset " << pos;
+  }
+}
+
+/// Runs \p bytes through both decoders, reusing \p batch as the bench and
+/// `vgtrace` reuse theirs: both accept, or both reject with the same
+/// diagnostic; when both accept, the columns match the reader field for field.
+void expect_same_verdict(const std::vector<std::uint8_t>& bytes,
+                         ColumnBatch& batch, const std::string& context) {
+  std::optional<TraceReader> reader;
+  std::string reader_error;
+  try {
+    reader.emplace(TraceReader::parse(bytes));
+  } catch (const trace::TraceError& e) {
+    reader_error = e.what();
+  }
+  bool decoded = false;
+  std::string decoder_error;
+  try {
+    BatchDecoder::decode(
+        std::span<const std::uint8_t>{bytes.data(), bytes.size()}, batch);
+    decoded = true;
+  } catch (const trace::TraceError& e) {
+    decoder_error = e.what();
+  }
+  ASSERT_EQ(decoded, reader.has_value())
+      << context << ": reader \"" << reader_error << "\", decoder \""
+      << decoder_error << '"';
+  ASSERT_EQ(decoder_error, reader_error) << context;
+  if (reader) expect_columns_match(*reader, batch, context);
+}
+
+/// Offsets of the frames (their size bytes) of a well-formed trace.
+std::vector<std::size_t> frame_offsets(const std::vector<std::uint8_t>& b) {
+  std::size_t off = 24;  // magic, version, flags, seed, frame count
+  for (int field = 0; field < 3; ++field) {  // the three header strings
+    off += 2 + (b[off] | (std::size_t{b[off + 1]} << 8));
+  }
+  std::vector<std::size_t> frames;
+  for (; off < b.size(); off += 1 + b[off] + 4) frames.push_back(off);
+  return frames;
+}
+
+/// \p good itself, its truncation prefixes and its single-byte flips (^0x41,
+/// ^0x80), each through expect_same_verdict. The first 64 offsets are dense;
+/// past them a stride keeps each input near 400 offsets. A flip inside a
+/// frame payload is tried once more re-sealed with a fresh CRC, so the
+/// payload checks themselves are reached, not only the CRC.
+void expect_same_verdicts_under_mutation(const std::vector<std::uint8_t>& good,
+                                         ColumnBatch& batch,
+                                         const std::string& name) {
+  expect_same_verdict(good, batch, name);
+  const std::vector<std::size_t> frames = frame_offsets(good);
+  const std::size_t stride = 1 + good.size() / 400;
+  for (std::size_t pos = 0; pos < good.size(); pos += pos < 64 ? 1 : stride) {
+    const std::string at = name + " @" + std::to_string(pos);
+    expect_same_verdict(
+        std::vector<std::uint8_t>(good.begin(),
+                                  good.begin() + static_cast<long>(pos)),
+        batch, at + " prefix");
+    const auto next_frame = std::upper_bound(frames.begin(), frames.end(), pos);
+    const std::size_t frame =
+        next_frame == frames.begin() ? good.size() : *(next_frame - 1);
+    const bool in_payload =
+        frame < good.size() && pos > frame && pos <= frame + good[frame];
+    for (const std::uint8_t mask : {0x41, 0x80}) {
+      std::vector<std::uint8_t> bad = good;
+      bad[pos] ^= mask;
+      const std::string flip = at + " ^" + std::to_string(mask);
+      expect_same_verdict(bad, batch, flip);
+      if (in_payload) {
+        const std::uint8_t size = bad[frame];
+        const std::uint32_t crc = trace::crc32(&bad[frame + 1], size);
+        for (std::size_t i = 0; i < 4; ++i) {
+          bad[frame + 1 + size + i] = static_cast<std::uint8_t>(crc >> (8 * i));
+        }
+        expect_same_verdict(bad, batch, flip + " resealed");
+      }
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+}
+
+/// One TCP flow (flow 0), then hand-framed \p payloads with a valid size byte
+/// and CRC each, and the header frame count patched to match.
+std::vector<std::uint8_t> crafted_trace(
+    const std::vector<std::vector<std::uint8_t>>& payloads) {
+  TraceWriter::Meta meta;
+  meta.scenario = "crafted";
+  meta.seed = 8;
+  TraceWriter w{meta};
+  w.add_flow(net::Protocol::kTcp, net::Endpoint{kSpeaker, net::Port{50001}},
+             net::Endpoint{kAvsIp, net::Port{443}}, at_ms(1));
+  std::vector<std::uint8_t> b = w.finish();
+  for (const std::vector<std::uint8_t>& p : payloads) {
+    b.push_back(static_cast<std::uint8_t>(p.size()));
+    b.insert(b.end(), p.begin(), p.end());
+    trace::put_u32(b, trace::crc32(p.data(), p.size()));
+  }
+  b[trace::kFrameCountOffset] = static_cast<std::uint8_t>(1 + payloads.size());
+  return b;
+}
+
+TEST(BatchDecoder, RejectsWithTheReaderDiagnostics) {
+  // One batch throughout: a decode that threw halfway through a trace must
+  // leave nothing behind that the next decode could see.
+  ColumnBatch batch;
+  for (const std::string& path : golden_corpus()) {
+    expect_same_verdicts_under_mutation(trace::read_file(path), batch, path);
+    if (HasFatalFailure()) return;
+  }
+  expect_same_verdicts_under_mutation(random_trace(99).bytes, batch,
+                                      "random 99");
+  if (HasFatalFailure()) return;
+
+  // A DNS answer exactly at the 2^62 ns cap (the flow began at 1 ms), then
+  // one a nanosecond past it.
+  std::vector<std::uint8_t> at_cap = {2};
+  trace::put_varint(at_cap, static_cast<std::uint64_t>(trace::kMaxTraceNs) -
+                                1'000'000);
+  at_cap.insert(at_cap.end(), {0, 10, 0, 0, 1});
+  const std::vector<std::vector<std::vector<std::uint8_t>>> crafted = {
+      {{0x77, 0}},                                   // unknown frame kind
+      {{0, 0, 5, 0, 23, 1}},                         // record, undefined flow
+      {{1, 0, 5, 0, 1}},                             // datagram, undefined flow
+      {{0, 0, 0, 2, 23, 1}},                         // bad direction byte
+      {{1, 0, 0, 2, 1}},                             // ... on a datagram
+      {{0, 0, 0, 0, 23, 0x80, 0x80, 0x80, 0x80, 0x10}},  // length 2^32
+      {{1, 0, 0, 0, 0x80, 0x80, 0x80, 0x80, 0x10}},      // ... on a datagram
+      {{0, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
+        0x7F}},                                      // 11-byte varint
+      {{2, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x02, 0, 1,
+        2, 3, 4}},                                   // varint bit 64 set
+      {{2, 0, 2, 1, 2, 3, 4}},                       // bad DNS domain code
+      {{2, 0, 0, 1, 2, 3, 4, 99}},                   // trailing payload bytes
+      {{3, 0, 0, 0, 1, 2, 3, 4, 0, 80, 5, 6, 7, 8, 0xBB, 1}},  // flow not dense
+      {{3, 0, 1, 2, 1, 2, 3, 4, 0, 80, 5, 6, 7, 8, 0xBB, 1}},  // bad protocol
+      {{4, 0, 15, 0}},                               // bad fault code
+      {{0}},                                         // truncated varint
+      {{0, 0x80}},                                   // ... mid-varint
+      {{0, 0, 0, 0}},                                // truncated u8
+      {{2, 0, 0, 1, 2}},                             // truncated u32
+      {{3, 0, 1, 0, 1, 2, 3, 4, 0}},                 // truncated u16
+      {{4, 0, 14, 0x80, 0x01},                       // valid fault,
+       {1, 1, 0, 1, 0xFF, 0x7F},                     // datagram,
+       {0, 1, 0, 0, 23, 0x8A, 0x01}},                // TLS record
+      {at_cap, {2, 1, 0, 10, 0, 0, 1}},              // past the time cap
+  };
+  for (std::size_t i = 0; i < crafted.size(); ++i) {
+    expect_same_verdicts_under_mutation(crafted_trace(crafted[i]), batch,
+                                        "crafted " + std::to_string(i));
+    if (HasFatalFailure()) return;
   }
 }
 

@@ -68,6 +68,16 @@ sed '/"bench":"fleet_chaos"/s/"homes":10000,/"homes":5000,/' "$BASELINE" \
   >"$TMP/chaos-shape.jsonl"
 expect 1 "fleet_chaos.homes: run shape 10000 -> 5000" "$TMP/chaos-shape.jsonl"
 
+# 1: the sharded replay decoded one record fewer.
+sed 's/"records":1967,/"records":1966,/' "$BASELINE" >"$TMP/records.jsonl"
+expect 1 "replay_sharded.records: 1967 -> 1966" "$TMP/records.jsonl"
+
+# 1: a sharded replay over another directory is another run shape.
+sed 's|"dir":"tests/data",|"dir":"tests/data/scenarios",|' "$BASELINE" \
+  >"$TMP/dir-shape.jsonl"
+expect 1 "replay_sharded.dir: run shape 'tests/data' -> 'tests/data/scenarios'" \
+  "$TMP/dir-shape.jsonl"
+
 if [ "$fails" -ne 0 ]; then
   echo "$fails case(s) failed" >&2
   exit 1

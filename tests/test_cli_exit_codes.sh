@@ -172,6 +172,25 @@ printf '[scenario]\nname = x\nkind = synthetic\n[capture]\n%s\n%s\n' \
   'flow = tcp 50001 10.0.0.1 443 0' 'spike = 0 9223372036854 500' \
   >"$TMP/past-cap.scn"
 expect 4 "$VGSCN" validate "$TMP/past-cap.scn"
+# Fault and schedule times past the same cap: each number is checked before
+# it becomes int64 nanoseconds (1e10 s would be 1e19 ns), and a fault window
+# must end by the cap (4e9 + 4e9 s is past it without overflowing int64).
+{ cat "$SCN_DIR/chaos-baseline.scn"
+  printf '\n[faults]\nlink = lan flap 9e9 9e9\nlink = lan flap 9.1e9 9e9\n'
+} >"$TMP/flap-past-cap.scn"
+expect 4 "$VGSCN" validate "$TMP/flap-past-cap.scn"
+{ cat "$SCN_DIR/chaos-baseline.scn"
+  printf '\n[faults]\nlink = lan flap 4e9 4e9\n'
+} >"$TMP/window-past-cap.scn"
+expect 4 "$VGSCN" validate "$TMP/window-past-cap.scn"
+sed 's/^drain_s = .*/drain_s = 1e10/' "$SCN_DIR/chaos-baseline.scn" \
+  >"$TMP/drain-past-cap.scn"
+expect 4 "$VGSCN" validate "$TMP/drain-past-cap.scn"
+if ! grep -qF "drain_s '1e10' is past the 2^62 ns time cap" "$TMP/err"; then
+  echo "FAIL: drain_s = 1e10 is not named as past the time cap" >&2
+  sed 's/^/  stderr: /' "$TMP/err" >&2
+  fails=$((fails + 1))
+fi
 
 # --- vgtrace ----------------------------------------------------------------
 

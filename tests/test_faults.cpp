@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -384,6 +385,67 @@ TEST(FaultPlanCheck, OverlapVerdictDoesNotDependOnOrder) {
     if (empty_first) std::swap(p.links[0], p.links[1]);
     EXPECT_FALSE(check_plan(p, 0).has_value()) << empty_first;
   }
+}
+
+TEST(FaultPlanCheck, RejectsWindowsEndingPastTheTimeCap) {
+  // Window ends are checked against 2^62 ns without computing start +
+  // duration, so C++-built plans with times near int64's limit are rejected
+  // instead of wrapping.
+  const sim::Duration cap{kMaxPlanNs};
+  const sim::Duration max{std::numeric_limits<std::int64_t>::max()};
+  const sim::Duration ns{1};
+  const auto flap = [](sim::Duration start, sim::Duration dur) {
+    return LinkFault{LinkFault::Where::kLan, LinkFault::Kind::kFlap, start,
+                     dur, {}, {}};
+  };
+  const auto verdict = [](const auto& plan, auto... args) {
+    const auto d = check_plan(plan, args...);
+    return d ? to_string(*d) : std::string{"ok"};
+  };
+
+  FaultPlan p;
+  p.links = {flap(max, max)};
+  EXPECT_EQ(verdict(p, 0),
+            "links[0]: link-fault window ends past the 2^62 ns time cap");
+  p.links = {flap(cap, ns)};
+  EXPECT_EQ(verdict(p, 0),
+            "links[0]: link-fault window ends past the 2^62 ns time cap");
+  p.links = {flap(cap - ns, ns)};  // ends exactly at the cap
+  EXPECT_EQ(verdict(p, 0), "ok");
+  p.links.clear();
+  p.fcm = {FcmFault{ns, max, {}, 0.0}};
+  EXPECT_EQ(verdict(p, 0),
+            "fcm[0]: fcm-fault window ends past the 2^62 ns time cap");
+  p.fcm.clear();
+  // Down from the cap on, for good: the window opens at the cap, so fine.
+  p.devices = {DeviceFault{0, cap, sim::Duration{}}};
+  EXPECT_EQ(verdict(p, 1), "ok");
+  p.devices = {DeviceFault{0, cap, ns}};
+  EXPECT_EQ(verdict(p, 1),
+            "devices[0]: device-fault window ends past the 2^62 ns time cap");
+  p.devices.clear();
+  p.restarts = {GuardRestart{max}};
+  EXPECT_EQ(verdict(p, 0),
+            "restarts[0]: guard restart past the 2^62 ns time cap");
+
+  // A capacity envelope counts its recovery spread, a wave its stagger.
+  fleet::FleetFaultPlan fp;
+  fp.cloud_capacity.push_back({cap / 2, cap / 2, 0.5, true, ns, {}});
+  EXPECT_EQ(verdict(fp, 1, FaultPlan{}),
+            "cloud_capacity[0]: cloud-capacity window ends past the 2^62 ns "
+            "time cap");
+  fp.cloud_capacity.clear();
+  fp.restart_waves.push_back({max, max, 0.5});
+  EXPECT_EQ(verdict(fp, 1, FaultPlan{}),
+            "restart_waves[0]: restart wave ends past the 2^62 ns time cap");
+  fp.restart_waves.clear();
+  // A base window its own check rejects cannot make the collision check
+  // wrap either.
+  fp.fcm_outages.push_back(
+      {0, sim::seconds(10), sim::seconds(5), sim::Duration{}, 1.0});
+  FaultPlan base;
+  base.fcm = {FcmFault{max, max, {}, 0.0}};
+  EXPECT_EQ(verdict(fp, 1, base), "ok");
 }
 
 TEST(FaultInjectorLog, BoundariesFireInOrderAndReachTheObserver) {

@@ -565,6 +565,50 @@ TEST(ScenarioLoader, RejectsCaptureTimesPastTheTraceTimeCap) {
   EXPECT_NO_THROW(ScenarioLoader::load(head + "tls = 0 up 500 4611686018427\n"));
 }
 
+TEST(ScenarioLoader, RejectsTimesPastTheTimeCap) {
+  // Every time and span is capped at 2^62 ns, checked on the parsed number
+  // before it becomes int64 nanoseconds (1e10 s is 1e19 ns, past int64), and
+  // every fault window must end by the cap.
+  const std::string head =
+      "[scenario]\nname = x\n[schedule]\ncommand = 10 legit\n";
+  const std::string faults = head + "[faults]\n";
+  expect_load_error(
+      faults + "link = lan flap 9e9 9e9\nlink = lan flap 9.1e9 9e9\n", 6,
+      "start '9e9' is past the 2^62 ns time cap");
+  expect_load_error(faults + "link = lan flap 4e9 4e9\n", 6,
+                    "link-fault window ends past the 2^62 ns time cap");
+  expect_load_error(faults + "link = wan latency 10 5 extra_ms=1e13\n", 6,
+                    "extra_ms '1e13' is past the 2^62 ns time cap");
+  expect_load_error(faults + "fcm = 10 9223372036854775807ns\n", 6,
+                    "duration '9223372036854775807ns' is past the 2^62 ns");
+  expect_load_error(faults + "restart = 4611686018427387905ns\n", 6,
+                    "at_s '4611686018427387905ns' is past the 2^62 ns");
+  expect_load_error(head + "drain_s = 1e10\n", 5,
+                    "drain_s '1e10' is past the 2^62 ns time cap");
+  expect_load_error("[scenario]\nname = x\n[schedule]\ncommand = 1e10 legit\n",
+                    4, "at_s '1e10' is past the 2^62 ns time cap");
+  expect_load_error(
+      "[scenario]\nname = x\n[schedule]\ncommands = 4\ngap_base_s = 1e10\n",
+      5, "gap_base_s '1e10' is past the 2^62 ns time cap");
+  // Far below zero is just negative.
+  expect_load_error(head + "drain_s = -1e10\n", 5,
+                    "drain_s must be >= 0, got '-1e10'");
+  expect_load_error(faults + "link = wan latency 10 5 extra_ms=-1e13\n", 6,
+                    "extra_ms must be >= 0, got '-1e13'");
+
+  const std::string fleet =
+      head + "[population]\nhomes = 4\n[fleet_faults]\n";
+  expect_load_error(fleet + "cloud_capacity = 2e9 2e9 rst spread_s=2e9\n", 8,
+                    "cloud-capacity window ends past the 2^62 ns time cap");
+  expect_load_error(fleet + "restart_wave = 4e9 4e9\n", 8,
+                    "restart wave ends past the 2^62 ns time cap");
+
+  // Exactly at the cap is fine, for an instant and for a window's end.
+  EXPECT_NO_THROW(ScenarioLoader::load(
+      faults + "restart = 4611686018427387904ns\n"
+               "link = lan flap 4611686018427387903ns 1ns\n"));
+}
+
 // ---------------------------------------------------------------------------
 // Serializer: canonical emission the loader parses back into an equal spec.
 
