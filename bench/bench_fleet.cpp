@@ -1,23 +1,20 @@
-/// Fleet throughput: how many concurrent simulated homes one box sustains.
+/// Fleet throughput: how many simulated homes one box runs per second, and
+/// at what memory.
 ///
 /// Instantiates a population from one shared WorldTemplate (testbed +
-/// memoized calibration artifacts) and runs every home CONCURRENTLY — with
-/// max_resident = 0 each shard constructs its whole range up front and the
-/// wake calendar pops homes in earliest-wake order, so the peak-RSS number
-/// really is the cost of N live homes, not N sequential ones.
+/// memoized calibration artifacts) and runs it through run_fleet: each shard
+/// builds, runs, folds and destroys its homes one at a time, so a run holds
+/// one live home per worker and its peak RSS does not grow with the
+/// population.
 ///
-/// Env knobs: VG_FLEET_HOMES (default 250000), VG_FLEET_SHARDS (default 8),
-/// VG_FLEET_RESIDENT (default 0 = whole shard range resident).
+/// Env knobs: VG_FLEET_HOMES (default 250000), VG_FLEET_SHARDS (default 8).
+/// The worker count is min(shards, cores).
 ///
-/// Peak RSS is reported two ways. rss_bytes_per_100k_homes divides by every
-/// home the run streamed through; rss_bytes_per_live_home divides by the
-/// homes that can be live at once (resident cap × concurrently running
-/// shards), the figure that does not swing with the run shape.
-///
-/// Emits a machine-readable line:
-///   BENCH_JSON {"bench":"fleet",...,"homes_per_sec":...,
-///               "events_per_sec":...,"rss_bytes_per_100k_homes":...,
-///               "live_homes":...,"rss_bytes_per_live_home":...}
+/// Emits a machine-readable line whose run shape is (homes, shards); events
+/// is the run's exact work counter and rss_bytes its peak RSS:
+///   BENCH_JSON {"bench":"fleet","homes":...,"shards":...,"workers":...,
+///               "homes_per_sec":...,"events_per_sec":...,"events":...,
+///               "rss_bytes":...}
 
 #include <sys/resource.h>
 
@@ -82,10 +79,9 @@ int main() {
   const std::uint64_t homes = env_u64("VG_FLEET_HOMES", 250000);
   const auto shards =
       static_cast<unsigned>(env_u64("VG_FLEET_SHARDS", 8));
-  const std::uint64_t resident = env_u64("VG_FLEET_RESIDENT", 0);
 
-  bench::header("Fleet throughput (concurrent homes per box)",
-                "src/fleet/ — wake-calendar scheduling, streaming stats");
+  bench::header("Fleet throughput (homes per second, peak memory)",
+                "src/fleet/ — one home at a time per shard, streaming stats");
 
   using clock = std::chrono::steady_clock;
 
@@ -103,7 +99,6 @@ int main() {
     fleet::FleetConfig pcfg;
     pcfg.homes = probe;
     pcfg.shards = 4;
-    pcfg.max_resident = 3;
     const fleet::AggregateStats serial =
         fleet::run_fleet_serial(tmpl, 0, probe);
     if (!(fleet::run_fleet(tmpl, pcfg) == serial)) {
@@ -117,7 +112,6 @@ int main() {
   fleet::FleetConfig cfg;
   cfg.homes = homes;
   cfg.shards = shards;
-  cfg.max_resident = resident;
 
   fleet::WakeTelemetry tel;
   const auto t1 = clock::now();
@@ -125,55 +119,31 @@ int main() {
   const double run_s =
       std::chrono::duration<double>(clock::now() - t1).count();
 
+  const std::uint64_t events = stats.counters().events;
   const double homes_per_sec = static_cast<double>(homes) / run_s;
-  const double events_per_sec =
-      static_cast<double>(stats.counters().events) / run_s;
+  const double events_per_sec = static_cast<double>(events) / run_s;
   const std::uint64_t rss = peak_rss_bytes();
-  const double rss_per_100k =
-      static_cast<double>(rss) * 100000.0 / static_cast<double>(homes);
-  const std::uint64_t live_homes =
-      tel.resident_cap * std::min<std::uint64_t>(tel.workers, shards);
-  const double rss_per_live_home =
-      static_cast<double>(rss) / static_cast<double>(live_homes);
 
   std::printf("template  : built in %.3f s (testbed + calibration, shared "
               "by all %llu homes)\n",
               template_s, static_cast<unsigned long long>(homes));
-  std::printf("run       : %llu homes, %u shard(s), %u worker(s), "
-              "resident cap %llu/shard, %llu live home(s) at most\n",
-              static_cast<unsigned long long>(homes), shards, tel.workers,
-              static_cast<unsigned long long>(tel.resident_cap),
-              static_cast<unsigned long long>(live_homes));
-  std::printf("calendar  : %llu wakes (%.2f/home), %llu empty epochs "
-              "skipped (%.2f/home)\n",
-              static_cast<unsigned long long>(tel.wakes),
-              static_cast<double>(tel.wakes) / static_cast<double>(homes),
-              static_cast<unsigned long long>(tel.epochs_skipped),
-              static_cast<double>(tel.epochs_skipped) /
-                  static_cast<double>(homes));
+  std::printf("run       : %llu homes, %u shard(s), %u worker(s), one live "
+              "home per worker\n",
+              static_cast<unsigned long long>(homes), shards, tel.workers);
   std::printf("%s\n", stats.to_string().c_str());
   std::printf("throughput: %9.0f homes/s, %12.0f events/s (%.3f s)\n",
               homes_per_sec, events_per_sec, run_s);
-  std::printf("memory    : peak RSS %.1f MiB, %.1f MiB per 100k homes, "
-              "%.1f KiB per live home\n",
-              static_cast<double>(rss) / (1024.0 * 1024.0),
-              rss_per_100k / (1024.0 * 1024.0), rss_per_live_home / 1024.0);
+  std::printf("memory    : peak RSS %.1f MiB\n",
+              static_cast<double>(rss) / (1024.0 * 1024.0));
 
   std::printf(
       "\nBENCH_JSON {\"bench\":\"fleet\",\"homes\":%llu,\"shards\":%u,"
-      "\"resident\":%llu,\"resident_cap\":%llu,\"workers\":%u,"
-      "\"template_seconds\":%.3f,\"run_seconds\":%.3f,"
-      "\"homes_per_sec\":%.0f,\"events_per_sec\":%.0f,"
-      "\"wakes_per_home\":%.2f,\"epochs_skipped_per_home\":%.2f,"
-      "\"rss_bytes\":%llu,\"rss_bytes_per_100k_homes\":%.0f,"
-      "\"live_homes\":%llu,\"rss_bytes_per_live_home\":%.0f}\n",
-      static_cast<unsigned long long>(homes), shards,
-      static_cast<unsigned long long>(resident),
-      static_cast<unsigned long long>(tel.resident_cap), tel.workers,
-      template_s, run_s, homes_per_sec, events_per_sec,
-      static_cast<double>(tel.wakes) / static_cast<double>(homes),
-      static_cast<double>(tel.epochs_skipped) / static_cast<double>(homes),
-      static_cast<unsigned long long>(rss), rss_per_100k,
-      static_cast<unsigned long long>(live_homes), rss_per_live_home);
+      "\"workers\":%u,\"template_seconds\":%.3f,\"run_seconds\":%.3f,"
+      "\"homes_per_sec\":%.0f,\"events_per_sec\":%.0f,\"events\":%llu,"
+      "\"rss_bytes\":%llu}\n",
+      static_cast<unsigned long long>(homes), shards, tel.workers, template_s,
+      run_s, homes_per_sec, events_per_sec,
+      static_cast<unsigned long long>(events),
+      static_cast<unsigned long long>(rss));
   return 0;
 }

@@ -102,7 +102,6 @@ int main() {
     fleet::FleetConfig pcfg;
     pcfg.homes = probe;
     pcfg.shards = 4;
-    pcfg.max_resident = 3;
     const fleet::AggregateStats serial =
         fleet::run_fleet_serial(tmpl, 0, probe);
     if (!(fleet::run_fleet(tmpl, pcfg) == serial)) {

@@ -14,7 +14,7 @@
 /// throws on the first broken rule before anything is armed, and apply() is
 /// a pure function of (plan, home seed) — no cross-home or cross-shard
 /// state — so serial and sharded fleet runs derive bit-identical faults for
-/// every home regardless of shard layout or residency order.
+/// every home regardless of shard layout or run order.
 ///
 /// Determinism contract:
 ///  - region_of(home_seed) hashes the seed (splitmix64) into [0, regions);
@@ -22,7 +22,7 @@
 ///    per-(home, event) hash against the fraction;
 ///  - load coupling is *expected* load, never live state: a capacity event's
 ///    staggered re-admission and brownout latency scale with the configured
-///    fraction of the fleet, not with how many homes happen to be resident.
+///    fraction of the fleet, not with how many homes happen to be running.
 
 namespace vg::fleet {
 

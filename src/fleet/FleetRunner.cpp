@@ -21,38 +21,23 @@ namespace {
 /// run_scenario_scripted's calibrate() waits out.
 constexpr sim::Duration kBoot = sim::seconds(8);
 
-/// Advancement quantum: the grid of run_until horizons every home is driven
-/// on (target k is min(k·kEpoch, end)). The wake calendar only ever *skips*
-/// horizons on this grid that provably execute nothing — the horizons it
-/// does run are exactly the round-robin loop's, keeping the event/RNG
-/// interleaving bit-identical while a shard still genuinely interleaves its
-/// population in simulated time.
-constexpr sim::Duration kEpoch = sim::seconds(10);
-
 /// Arena chunk for per-home simulations. A scripted home allocates tens of
-/// kilobytes of packet state; 8 KiB chunks keep 10^5 resident homes from
-/// reserving 64 KiB minimums each.
+/// kilobytes of packet state; 8 KiB chunks fit that closer than the 64 KiB
+/// default, whose larger chunks add allocated bytes per home with no gain in
+/// peak RSS.
 constexpr std::size_t kHomeArenaChunk = 8 * 1024;
 
 /// Path-loss memo slots per owner-device scanner. The 512-slot default is
 /// sized for one long-lived world that walks its calibration; a fleet home
 /// installs its calibration instead and measures from a handful of teleport
 /// positions. A hit returns the identical double, so the size moves memory
-/// only: 8 slots are 512 B per scanner instead of 32 KiB, which matters for
-/// homes that sit resident through hours of idle drain (EXPERIMENTS.md,
-/// "Why fleet homes do not hibernate").
+/// only: 8 slots are 512 B per scanner instead of 32 KiB, allocated and
+/// freed once per home.
 constexpr std::size_t kHomeCacheSlots = 8;
-
-/// Consecutive calendar horizons a popped home runs before re-entering the
-/// heap. Homes never interact and the stats fold is order-independent, so
-/// the batch cannot change the merged result; running one hot home several
-/// horizons in a row instead of cycling the whole resident set through the
-/// cache every epoch is a large locality win on event-dense populations.
-constexpr std::uint32_t kWakeBatch = 8;
 
 /// One mutable home: a SmartHomeWorld wired copy-on-write from the shared
 /// template, with its entire script pre-scheduled as events so construction
-/// is allocation + wiring and advance_to() is the only driver. Strict shard
+/// is allocation + wiring and run_to_end() is the only driver. Strict shard
 /// affinity: a FleetHome never leaves the shard (thread) that made it.
 class FleetHome {
  public:
@@ -119,47 +104,12 @@ class FleetHome {
     }
   }
 
-  /// The next run_until horizon on the epoch grid at which this home has a
-  /// pending event — its wake time. Every grid horizon strictly before it
-  /// would execute zero events (no pending event is at or before it), so
-  /// skipping them cannot perturb the event or RNG stream; every horizon at
-  /// or past it is one the plain epoch round-robin would also run. Returns
-  /// end_ when no pending event lands before the end (the final, possibly
-  /// empty, run_until(end_) the round-robin also performs).
-  [[nodiscard]] sim::TimePoint next_wake() const {
-    const std::optional<sim::TimePoint> next = world_->sim().next_event_at();
-    if (!next.has_value() || *next > end_) return end_;
-    if (*next <= target_) return std::min(target_ + kEpoch, end_);
-    const std::int64_t k =
-        ((*next - target_).ns() + kEpoch.ns() - 1) / kEpoch.ns();
-    return std::min(target_ + kEpoch * k, end_);
-  }
-
-  /// Full epochs between the current horizon and \p wake that the calendar
-  /// skips (the round-robin would have run each as an empty run_until).
-  [[nodiscard]] std::uint64_t epochs_skipped_to(sim::TimePoint wake) const {
-    const std::int64_t gap = (wake - target_).ns();
-    return gap > kEpoch.ns()
-               ? static_cast<std::uint64_t>((gap - 1) / kEpoch.ns())
-               : 0;
-  }
-
-  /// Simulates up to \p target (a value obtained from next_wake()); returns
-  /// true when the home reached its end.
-  bool advance_to(sim::TimePoint target) {
-    target_ = target;
-    world_->sim().run_until(target_);
-    return target_ >= end_;
-  }
-
-  /// Runs to the end in one go (the serial reference path), wake to wake.
-  void run_to_end() {
-    while (!advance_to(next_wake())) {
-    }
-  }
+  /// Simulates the home up to its end: the boot deadline, the command
+  /// script and the drain, in one run_until.
+  void run_to_end() { world_->sim().run_until(end_); }
 
   /// Folds this finished home into \p acc and releases nothing: the caller
-  /// destroys the home, freeing its world before the next one is admitted.
+  /// destroys the home, freeing its world before the next one is built.
   void finish(AggregateStats& acc) const {
     std::uint64_t attacks = 0;
     for (const scenario::CommandStep& c : spec_.schedule.commands) {
@@ -211,83 +161,8 @@ class FleetHome {
   scenario::ScenarioSpec spec_;
   std::unique_ptr<workload::SmartHomeWorld> world_;
   std::unique_ptr<faults::FaultInjector> injector_;
-  sim::TimePoint target_{};
   sim::TimePoint end_{};
 };
-
-/// One entry in a shard's wake calendar: a resident home and the horizon it
-/// next needs to run at. The heap owns the homes — finishing a home is a
-/// pop_heap + pop_back (the swap-and-pop that replaced the old O(n²)
-/// vector::erase residency loop).
-struct Resident {
-  sim::TimePoint wake;
-  std::uint64_t order;  // home index; deterministic tie-break at equal wakes
-  std::unique_ptr<FleetHome> home;
-};
-
-struct LaterWake {
-  bool operator()(const Resident& a, const Resident& b) const {
-    if (a.wake != b.wake) return a.wake > b.wake;
-    return a.order > b.order;
-  }
-};
-
-struct ShardResult {
-  AggregateStats stats;
-  WakeTelemetry tel;
-};
-
-/// One shard: streams homes [begin, end) through at most \p max_resident
-/// live worlds on the wake calendar, folding each finished home into the
-/// returned stats. Stats folds are integer-exact and order-independent, so
-/// the calendar's earliest-wake-first order (vs the old round-robin) leaves
-/// the merged result bit-identical.
-ShardResult run_range(const WorldTemplate& tmpl, std::uint64_t begin,
-                      std::uint64_t end, std::uint64_t max_resident) {
-  ShardResult out;
-  const std::uint64_t cap =
-      max_resident == 0 ? (end > begin ? end - begin : 1) : max_resident;
-  out.tel.resident_cap = cap;
-  std::vector<Resident> calendar;
-  calendar.reserve(static_cast<std::size_t>(
-      std::min<std::uint64_t>(cap, end > begin ? end - begin : 1)));
-  std::uint64_t next = begin;
-  const auto admit = [&] {
-    while (calendar.size() < cap && next < end) {
-      auto home = std::make_unique<FleetHome>(tmpl, next);
-      calendar.push_back(Resident{home->next_wake(), next, std::move(home)});
-      std::push_heap(calendar.begin(), calendar.end(), LaterWake{});
-      ++next;
-    }
-  };
-  admit();
-  while (!calendar.empty()) {
-    std::pop_heap(calendar.begin(), calendar.end(), LaterWake{});
-    Resident r = std::move(calendar.back());
-    calendar.pop_back();
-    bool finished = false;
-    sim::TimePoint wake = r.wake;
-    for (std::uint32_t b = 0; b < kWakeBatch; ++b) {
-      ++out.tel.wakes;
-      out.tel.epochs_skipped += r.home->epochs_skipped_to(wake);
-      if (r.home->advance_to(wake)) {
-        finished = true;
-        break;
-      }
-      wake = r.home->next_wake();
-    }
-    if (finished) {
-      r.home->finish(out.stats);
-      r.home.reset();  // free the world before admitting its replacement
-      admit();
-      continue;
-    }
-    r.wake = wake;
-    calendar.push_back(std::move(r));
-    std::push_heap(calendar.begin(), calendar.end(), LaterWake{});
-  }
-  return out;
-}
 
 }  // namespace
 
@@ -310,26 +185,26 @@ AggregateStats run_fleet(const WorldTemplate& tmpl, const FleetConfig& cfg,
   const std::uint64_t homes = cfg.homes != 0 ? cfg.homes : tmpl.homes();
   validate_fleet_config(cfg, homes);
 
-  const unsigned workers =
-      cfg.workers != 0
-          ? cfg.workers
-          : std::min<unsigned>(cfg.shards,
-                               std::max(1u, std::thread::hardware_concurrency()));
+  // One thread per shard that has homes to run, at most: a thread past that
+  // would only sit idle.
+  const unsigned asked =
+      cfg.workers != 0 ? cfg.workers
+                       : std::max(1u, std::thread::hardware_concurrency());
+  const auto workers = static_cast<unsigned>(std::min<std::uint64_t>(
+      std::min(asked, cfg.shards), homes));
   sim::BatchRunner pool{workers};
-  const std::vector<ShardResult> per_shard = pool.map<ShardResult>(
+  const std::vector<AggregateStats> per_shard = pool.map<AggregateStats>(
       cfg.shards, [&](std::size_t s) {
-        return run_range(tmpl, homes * s / cfg.shards,
-                         homes * (s + 1) / cfg.shards, cfg.max_resident);
+        const std::uint64_t begin = homes * s / cfg.shards;
+        return run_fleet_serial(tmpl, begin,
+                                homes * (s + 1) / cfg.shards - begin);
       });
 
   AggregateStats total;
-  WakeTelemetry tel;
-  for (const ShardResult& s : per_shard) {
-    total.merge(s.stats);
-    tel.merge(s.tel);
+  for (const AggregateStats& s : per_shard) total.merge(s);
+  if (telemetry != nullptr) {
+    *telemetry = WakeTelemetry{.workers = pool.worker_count()};
   }
-  tel.workers = pool.worker_count();
-  if (telemetry != nullptr) *telemetry = tel;
   return total;
 }
 
@@ -354,7 +229,6 @@ void register_fuzz_population_check() {
               run_fleet_serial(tmpl, 0, tmpl.homes());
           FleetConfig cfg;
           cfg.shards = 2;
-          cfg.max_resident = 2;
           const AggregateStats sharded = run_fleet(tmpl, cfg);
           if (!(serial == sharded)) {
             violations.push_back(

@@ -7,27 +7,18 @@
 
 /// \file FleetRunner.h
 /// Runs a population of homes instantiated from one WorldTemplate across
-/// per-shard event queues with strict home-affinity: every home lives and
-/// dies on exactly one shard, shards share only the immutable template, and
-/// each shard folds results into its own AggregateStats. Homes never
-/// interact and AggregateStats merges are integer-exact, so the final stats
-/// are bit-identical regardless of shard count, worker count, or residency
-/// interleaving — the parity invariant pinned by tests/test_fleet.cpp.
+/// shards with strict home-affinity: every home lives and dies on exactly one
+/// shard, shards share only the immutable template, and each shard folds
+/// results into its own AggregateStats. Homes never interact and
+/// AggregateStats merges are integer-exact, so the final stats are
+/// bit-identical regardless of shard or worker count — the parity invariant
+/// pinned by tests/test_fleet.cpp.
 ///
-/// Scheduling model: each shard keeps its resident homes in a *wake
-/// calendar* — a min-heap keyed on the next 10 s epoch horizon at which a
-/// home has a pending event (sim::Simulation::next_event_at()). A home idle
-/// between scheduled commands costs one O(log n) heap pop per wake instead
-/// of an empty run_until per epoch, and the horizons that do run are exactly
-/// the horizons the plain epoch round-robin would have run — skipped spans
-/// are provably event-free — so the event/RNG interleaving is bit-identical
-/// to the round-robin loop (the FleetPins literals pin it).
-///
-/// Memory model: a shard keeps at most max_resident homes constructed at a
-/// time (0 = its whole range), each on its own 8 KiB-chunk arena with
-/// 8-slot scanner path-loss memos; results are streamed into the shard's
-/// stats as homes finish. An idle home keeps what it holds until it
-/// finishes. Nothing is O(homes) but the loop counter.
+/// Scheduling and memory model: a shard runs its contiguous range of homes
+/// one at a time, in the loop run_fleet_serial runs. Each home is built from
+/// the template, driven to its end with one run_until, folded into the
+/// shard's stats and destroyed before the next is built, so a run holds one
+/// live home per worker thread. Nothing is O(homes) but the loop counter.
 
 namespace vg::fleet {
 
@@ -37,41 +28,26 @@ struct FleetConfig {
   /// Shards (contiguous, even home ranges). Fanned across BatchRunner
   /// workers.
   unsigned shards{1};
-  /// Worker threads; 0 = min(shards, hardware_concurrency).
+  /// Worker threads; 0 = the core count. The pool never starts more threads
+  /// than there are shards or homes to run.
   unsigned workers{0};
-  /// Concurrently-resident homes per shard; 0 = the shard's entire range at
-  /// once (true fleet concurrency — bench_fleet's default).
-  std::uint64_t max_resident{0};
 
   /// Backstop against typo'd populations; far above the bench scale.
   static constexpr std::uint64_t kMaxHomes = 4'000'000;
 };
 
-/// Wake-calendar observability, aggregated across shards. Deliberately kept
-/// out of AggregateStats: stats are the parity fingerprint, telemetry is how
-/// the scheduler earned them (it is itself deterministic for a fixed config,
-/// but resident caps and worker counts are run-shape, not results).
+/// Run-shape observability, kept out of AggregateStats: stats are the parity
+/// fingerprint, the worker count is how the run was laid out.
 struct WakeTelemetry {
-  /// run_until horizons actually executed (one per horizon, possibly
-  /// several per heap pop).
-  std::uint64_t wakes{0};
-  /// Empty 10 s epoch quanta the calendar skipped wholesale.
-  std::uint64_t epochs_skipped{0};
-  /// Always 0 (homes never hibernate); kept only because perfbench reads them.
-  std::uint64_t hibernations{0};
-  std::uint64_t trim_bytes{0};
   /// Resolved worker count the pool actually ran with.
   unsigned workers{0};
-  /// Resolved per-shard residency cap (max over shards; max_resident == 0
-  /// resolves to the largest shard range).
-  std::uint64_t resident_cap{0};
-
-  void merge(const WakeTelemetry& o) {
-    wakes += o.wakes;
-    epochs_skipped += o.epochs_skipped;
-    workers = workers > o.workers ? workers : o.workers;
-    resident_cap = resident_cap > o.resident_cap ? resident_cap : o.resident_cap;
-  }
+  /// Always 0: homes run start to finish, so there is no wake calendar, no
+  /// skipped epoch and no hibernation. Kept only because perfbench reads
+  /// them.
+  std::uint64_t wakes{0};
+  std::uint64_t epochs_skipped{0};
+  std::uint64_t hibernations{0};
+  std::uint64_t trim_bytes{0};
 };
 
 /// Validates \p cfg against a population of \p homes homes. Throws
@@ -79,16 +55,17 @@ struct WakeTelemetry {
 /// home count out of bounds).
 void validate_fleet_config(const FleetConfig& cfg, std::uint64_t homes);
 
-/// Runs the fleet: shards fan across a BatchRunner pool, each shard streams
-/// its range of homes through the wake calendar and folds them into one
-/// AggregateStats; shard stats merge into the returned total. When
-/// \p telemetry is non-null the merged wake-calendar counters land there.
+/// Runs the fleet: shards fan across a BatchRunner pool, each shard runs its
+/// range of homes through run_fleet_serial, and the shard stats merge into
+/// the returned total. When \p telemetry is non-null the resolved worker
+/// count lands there.
 AggregateStats run_fleet(const WorldTemplate& tmpl, const FleetConfig& cfg,
                          WakeTelemetry* telemetry = nullptr);
 
-/// The parity reference: the same per-home runner, one home at a time on the
-/// caller's thread, folded into one AggregateStats. Bit-identical to
-/// run_fleet over the same homes at any shard count.
+/// The per-home loop: homes [first, first + count), one at a time on the
+/// caller's thread, folded into one AggregateStats. Every run_fleet shard
+/// runs it over its range, and called over the whole population it is the
+/// parity reference: bit-identical to run_fleet at any shard count.
 AggregateStats run_fleet_serial(const WorldTemplate& tmpl, std::uint64_t first,
                                 std::uint64_t count);
 

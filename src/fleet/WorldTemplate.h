@@ -11,7 +11,8 @@
 /// \file WorldTemplate.h
 /// The immutable, shareable half of a home population. Splitting
 /// workload::World into description (here) and per-home mutable state
-/// (FleetRunner's homes) is what makes O(10^5) concurrent homes affordable:
+/// (FleetRunner's homes) is what makes each home cheap to build, run and
+/// throw away:
 ///
 ///   - the testbed (floor plan, wall grid, propagation calibration, speaker
 ///     spots) is built once and borrowed by every home via

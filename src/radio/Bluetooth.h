@@ -41,8 +41,9 @@ struct ScanParams {
   /// Slots in the scanner's direct-mapped path-loss memo (PropagationCache;
   /// 64 bytes each, rounded up to a power of two). Purely a memory/speed
   /// trade: a hit returns the identical double a recompute would, so sample
-  /// streams are byte-identical at any size. Fleet homes shrink this — 10^5
-  /// resident scanners must not each hold the 32 KiB default table.
+  /// streams are byte-identical at any size. Fleet homes shrink this: they
+  /// measure from a handful of positions, so the 32 KiB default table would
+  /// be allocated and freed per home for almost no hits.
   std::size_t cache_slots = 512;
 };
 

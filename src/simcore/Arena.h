@@ -45,8 +45,8 @@ class Arena {
 
   Arena() = default;
   /// \p chunk sets the growth granularity (rounded up per oversized request).
-  /// Fleet runs keep tens of thousands of small arenas alive at once; an 8 KiB
-  /// chunk there costs ~1/8 the resident memory of the 64 KiB default.
+  /// A fleet home allocates tens of kilobytes of packet state; an 8 KiB chunk
+  /// fits that closer than the 64 KiB default.
   explicit Arena(std::size_t chunk) : chunk_(chunk < kMinBlock ? kMinBlock : chunk) {}
   ~Arena() {
     for (Chunk* c = chunks_; c != nullptr;) {

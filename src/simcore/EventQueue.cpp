@@ -72,13 +72,6 @@ void EventQueue::maybe_compact() {
   stale_in_heap_ = 0;
 }
 
-std::optional<TimePoint> EventQueue::peek() const {
-  auto* self = const_cast<EventQueue*>(this);
-  self->skip_stale();
-  if (heap_.empty()) return std::nullopt;
-  return heap_.front().when;
-}
-
 TimePoint EventQueue::next_time() const {
   auto* self = const_cast<EventQueue*>(this);
   self->skip_stale();

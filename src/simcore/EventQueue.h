@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "simcore/Callback.h"
@@ -53,12 +52,6 @@ class EventQueue {
 
   /// Time of the earliest live event. Requires !empty().
   [[nodiscard]] TimePoint next_time() const;
-
-  /// Non-throwing peek: the earliest live event's time, or nothing when the
-  /// queue is empty. This is the wake-calendar hook — a fleet scheduler reads
-  /// it to prove a run_until horizon would execute no events at all and skip
-  /// it wholesale.
-  [[nodiscard]] std::optional<TimePoint> peek() const;
 
   /// Removes and returns the earliest live event. Requires !empty().
   struct Fired {

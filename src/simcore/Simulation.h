@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -37,8 +36,9 @@ class Simulation {
     /// out null-arena handles and every container falls back to the global
     /// allocator — the seed ("heap") semantics, kept for parity testing.
     bool use_arena = true;
-    /// Chunk granularity for the owned arena. Fleet homes shrink this so
-    /// O(10^4..10^5) live simulations stay resident without 64 KiB minimums.
+    /// Chunk granularity for the owned arena. Fleet homes shrink this to
+    /// fit their tens of kilobytes of packet state closer than 64 KiB
+    /// chunks do.
     std::size_t arena_chunk = Arena::kDefaultChunk;
   };
 
@@ -71,15 +71,6 @@ class Simulation {
   EventId at(TimePoint when, EventQueue::Callback cb);
 
   void cancel(EventId id) { queue_.cancel(id); }
-
-  /// Time of the earliest pending event, or nothing when the queue is empty.
-  /// The wake-calendar hook: callers driving many simulations peek this to
-  /// prove a run_until horizon executes nothing and skip it wholesale —
-  /// which cannot perturb behaviour, because no event and no RNG draw
-  /// happens between events (run_until only moves the clock).
-  [[nodiscard]] std::optional<TimePoint> next_event_at() const {
-    return queue_.peek();
-  }
 
   /// Runs events until the queue drains or the clock passes \p until.
   /// Events scheduled exactly at \p until still run. Returns the number of

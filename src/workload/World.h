@@ -71,13 +71,13 @@ struct WorldConfig {
   /// (episode reuse: TrialRunner resets a worker-local arena per trial).
   /// Must outlive the world.
   sim::Arena* arena = nullptr;
-  /// Chunk granularity for an owned arena (fleet homes shrink this so tens of
-  /// thousands of concurrent worlds stay resident). Ignored if \p arena set.
+  /// Chunk granularity for an owned arena (fleet homes shrink this to fit
+  /// their packet state). Ignored if \p arena set.
   std::size_t arena_chunk = sim::Arena::kDefaultChunk;
   /// Path-loss memo slots per owner-device scanner (radio::ScanParams::
   /// cache_slots). Behaviourally neutral at any size — a hit returns the
-  /// identical double a recompute would — so fleet homes shrink it from the
-  /// 32 KiB default table to keep 10^5 resident homes lean.
+  /// identical double a recompute would — so fleet homes, which measure from
+  /// a handful of positions, shrink it from the 32 KiB default table.
   std::size_t device_cache_slots = 512;
   /// Share an immutable testbed (geometry, wall grid, propagation tables)
   /// instead of building a private copy. Must match \p testbed's kind and

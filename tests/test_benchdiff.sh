@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Contract test for tools/benchdiff, the CI bench gate: an identical harvest
-# passes, a changed deterministic counter fails, and a line whose run shape
-# differs from its baseline fails, naming the shape field.
+# passes, a changed deterministic counter fails, a line whose run shape has
+# no baseline fails, naming the shape, and a bench with baseline lines of
+# several shapes compares each fresh line with the one of its own shape.
 #
 # usage: test_benchdiff.sh <benchdiff> <baseline.jsonl>
 
@@ -77,6 +78,26 @@ sed 's|"dir":"tests/data",|"dir":"tests/data/scenarios",|' "$BASELINE" \
   >"$TMP/dir-shape.jsonl"
 expect 1 "replay_sharded.dir: run shape 'tests/data' -> 'tests/data/scenarios'" \
   "$TMP/dir-shape.jsonl"
+
+# 1: the 50k-home fleet run executed one more event.
+sed 's/"events":43991917,/"events":43991918,/' "$BASELINE" \
+  >"$TMP/fleet-events.jsonl"
+expect 1 "fleet.events: 43991917 -> 43991918" "$TMP/fleet-events.jsonl"
+
+# 1: a fleet run over 20k homes has no baseline of its shape.
+sed '/"bench":"fleet",/s/"homes":50000,/"homes":20000,/' "$BASELINE" \
+  >"$TMP/fleet-shape.jsonl"
+expect 1 "fleet (homes=20000, shards=8): no baseline of this run shape" \
+  "$TMP/fleet-shape.jsonl"
+
+# Two shapes of one bench: each fresh fleet line meets the baseline line of
+# its own shape, so the 250k run's extra event fails while the 50k run's
+# counter still matches.
+grep -F -e '"homes":50000,' -e '"homes":250000,' "$BASELINE" \
+  | grep -F '"bench":"fleet",' \
+  | sed 's/"events":219689044,/"events":219689045,/' >"$TMP/fleet-two.jsonl"
+expect 1 "fleet.events: 219689044 -> 219689045" "$TMP/fleet-two.jsonl"
+expect 1 "[exact  ] fleet.events: 43991917" "$TMP/fleet-two.jsonl"
 
 if [ "$fails" -ne 0 ]; then
   echo "$fails case(s) failed" >&2

@@ -68,10 +68,10 @@ expect 0 "$VGSCN" validate "$TMP/pop.scn"
 expect 0 "$VGSCN" fleet "$TMP/pop.scn"
 expect 0 "$VGSCN" fleet "$TMP/pop.scn" --shards 2 --check
 expect 0 "$VGSCN" fleet "$SCN_DIR/chaos-baseline.scn" --homes 2
-# --resident caps concurrently-live homes per shard; --workers sizes the
-# pool. Both accept 0 (= auto / whole range) and must not perturb results.
-expect 0 "$VGSCN" fleet "$TMP/pop.scn" --resident 2 --workers 1 --check
-expect 0 "$VGSCN" fleet "$TMP/pop.scn" --resident 0 --workers 0
+# --workers sizes the pool; it accepts 0 (= the core count) and must not
+# perturb results.
+expect 0 "$VGSCN" fleet "$TMP/pop.scn" --workers 1 --check
+expect 0 "$VGSCN" fleet "$TMP/pop.scn" --workers 0
 
 # 1: a fleet whose fault plan never fires (same past-the-horizon trick as
 # no-inject.scn above) violates the fleet invariants.
@@ -143,8 +143,8 @@ expect 2 "$VGSCN" fleet "$TMP/pop.scn" --homes 0
 expect 2 "$VGSCN" fleet "$TMP/pop.scn" --homes 4000001
 expect 2 "$VGSCN" fleet "$TMP/pop.scn" --shards 0
 expect 2 "$VGSCN" fleet "$TMP/pop.scn" --frobnicate
-expect 2 "$VGSCN" fleet "$TMP/pop.scn" --resident
-expect 2 "$VGSCN" fleet "$TMP/pop.scn" --resident lots
+# --resident is not an option: each shard runs one home at a time.
+expect 2 "$VGSCN" fleet "$TMP/pop.scn" --resident 2
 expect 2 "$VGSCN" fleet "$TMP/pop.scn" --workers
 expect 2 "$VGSCN" fleet "$TMP/pop.scn" --workers many
 expect 2 "$VGSCN" fleet "$TMP/pop.scn" --workers 5000

@@ -202,39 +202,18 @@ TEST(EventQueue, DefaultEventIdCancelIsNoop) {
   EXPECT_EQ(q.size(), 1u);
 }
 
-// ---------------------------------------------------------------------------
-// EventQueue: peek() — the wake-calendar hook
-// ---------------------------------------------------------------------------
-
-TEST(EventQueue, PeekReportsEarliestPendingAndSkipsCancelled) {
+TEST(EventQueue, NextTimeSkipsACancelledFront) {
   EventQueue q;
-  EXPECT_FALSE(q.peek().has_value());
-
   const EventId early = q.schedule(TimePoint{10}, [] {});
   q.schedule(TimePoint{20}, [] {});
-  ASSERT_TRUE(q.peek().has_value());
-  EXPECT_EQ(q.peek()->ns(), 10);
+  EXPECT_EQ(q.next_time().ns(), 10);
 
-  // Cancelling the front event must not leave peek() reporting a ghost.
+  // Cancelling the front event must not leave next_time() reporting a ghost.
   q.cancel(early);
-  ASSERT_TRUE(q.peek().has_value());
-  EXPECT_EQ(q.peek()->ns(), 20);
+  EXPECT_EQ(q.next_time().ns(), 20);
 
   q.pop().cb();
-  EXPECT_FALSE(q.peek().has_value());
-}
-
-TEST(EventQueue, PeekDoesNotPerturbFireOrder) {
-  EventQueue q;
-  std::vector<int> order;
-  for (int i = 0; i < 8; ++i) {
-    q.schedule(TimePoint{100 - i}, [&order, i] { order.push_back(i); });
-  }
-  while (!q.empty()) {
-    (void)q.peek();  // observation only
-    q.pop().cb();
-  }
-  EXPECT_EQ(order, (std::vector<int>{7, 6, 5, 4, 3, 2, 1, 0}));
+  EXPECT_TRUE(q.empty());
 }
 
 TEST(EventQueue, MoveOnlyCallbackThroughQueue) {

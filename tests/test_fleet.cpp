@@ -1,7 +1,8 @@
 /// The fleet subsystem (src/fleet/): WorldTemplate derivation, integer-exact
-/// AggregateStats merging, and the parity invariant that makes the whole
-/// design trustworthy — run_fleet over any shard count / worker count /
-/// residency cap is bit-identical to the serial fold over the same homes.
+/// AggregateStats merging, the parity invariant that makes the whole design
+/// trustworthy — run_fleet over any shard or worker count is bit-identical to
+/// the serial fold over the same homes — and a run's memory, which must not
+/// grow with the number of homes.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +17,9 @@
 #include "scenario/Serialize.h"
 #include "workload/ScenarioRun.h"
 #include "workload/World.h"
+// Defines the counting global operator new/delete for this binary: the
+// memory test reads its live and peak heap bytes.
+#include "testutil/CountingAllocator.h"
 
 namespace vg::fleet {
 namespace {
@@ -252,7 +256,7 @@ TEST(CalibrationArtifacts, InstallRejectsMismatchedShapes) {
 // ---------------------------------------------------------------------------
 // The parity invariant (label: threaded — run_fleet drives BatchRunner).
 
-TEST(FleetParity, ShardAndResidencyCountsNeverChangeTheStats) {
+TEST(FleetParity, ShardAndWorkerCountsNeverChangeTheStats) {
   const WorldTemplate tmpl{populated_spec()};
   const AggregateStats serial = run_fleet_serial(tmpl, 0, tmpl.homes());
   EXPECT_EQ(serial.counters().homes, tmpl.homes());
@@ -262,14 +266,14 @@ TEST(FleetParity, ShardAndResidencyCountsNeverChangeTheStats) {
   EXPECT_GT(serial.rssi_samples(), 0u);
 
   for (const unsigned shards : {1u, 2u, 8u}) {
-    for (const std::uint64_t resident : {0ull, 1ull, 3ull}) {
+    for (const unsigned workers : {0u, 1u, 3u}) {
       FleetConfig cfg;
       cfg.shards = shards;
-      cfg.max_resident = resident;
+      cfg.workers = workers;
       const AggregateStats fleet = run_fleet(tmpl, cfg);
       EXPECT_TRUE(fleet == serial)
-          << shards << " shard(s), max_resident " << resident
-          << ": fingerprint " << fleet.fingerprint() << " != "
+          << shards << " shard(s), " << workers
+          << " worker(s): fingerprint " << fleet.fingerprint() << " != "
           << serial.fingerprint();
     }
   }
@@ -285,7 +289,6 @@ TEST(FleetParity, GeneratedPopulationsHoldParityToo) {
     const AggregateStats serial = run_fleet_serial(tmpl, 0, tmpl.homes());
     FleetConfig cfg;
     cfg.shards = 2;
-    cfg.max_resident = 2;
     const AggregateStats fleet = run_fleet(tmpl, cfg);
     EXPECT_TRUE(fleet == serial) << "seed " << seed;
     return;
@@ -293,52 +296,31 @@ TEST(FleetParity, GeneratedPopulationsHoldParityToo) {
   FAIL() << "no generated seed in [1, 64] carried a population";
 }
 
-// ---------------------------------------------------------------------------
-// Wake calendar: scheduling is invisible in the stats.
-
-TEST(WakeCalendar, SkipsIdleEpochsAcrossALongDrain) {
-  // Commands end by ~50 s but the drain stretches to 300 s: the round-robin
-  // loop would grind ~25 empty epochs per home, the calendar must skip them
-  // — and still produce bit-identical stats.
+TEST(FleetParity, LongIdleDrainHoldsParity) {
+  // Commands end by ~50 s but the drain stretches to 300 s of keep-alives
+  // and heartbeats.
   scenario::ScenarioSpec spec = populated_spec();
   spec.schedule.drain = sim::seconds(300);
   const WorldTemplate tmpl{spec};
-  const AggregateStats serial = run_fleet_serial(tmpl, 0, tmpl.homes());
-
   FleetConfig cfg;
   cfg.shards = 2;
-  WakeTelemetry tel;
-  EXPECT_TRUE(run_fleet(tmpl, cfg, &tel) == serial);
-  // Drain maintenance (keepalives, heartbeats) still wakes homes every few
-  // epochs, so not every idle epoch is skippable — but a meaningful share is.
-  EXPECT_GT(tel.epochs_skipped, 5u * tmpl.homes());
-  EXPECT_GT(tel.wakes, 0u);
-  // Skipping must actually shrink the wake count below the epoch-grid total
-  // (>= 31 epochs per home over a 300 s drain).
-  EXPECT_LT(tel.wakes, 31u * tmpl.homes());
+  EXPECT_TRUE(run_fleet(tmpl, cfg) == run_fleet_serial(tmpl, 0, tmpl.homes()));
 }
 
-TEST(WakeCalendar, HouseHomesSkipEpochsAndHibernateToo) {
-  // The two-floor house carries the stair motion sensor. It samples only
-  // while someone moves, so an idle house home leaves empty epochs for the
-  // calendar to skip, like an apartment home. A sensor that polled for the
-  // whole run would put an event into every epoch and keep the count at
-  // zero.
+TEST(FleetParity, HouseHomesHoldParity) {
+  // The two-floor house carries the stair motion sensor, which samples only
+  // while someone moves.
   scenario::ScenarioSpec spec = populated_spec();
   spec.home.testbed = scenario::Testbed::kHouse;
   spec.schedule.drain = sim::hours(1);
   spec.population.homes = 3;
   const WorldTemplate tmpl{spec};
-  const AggregateStats serial = run_fleet_serial(tmpl, 0, tmpl.homes());
-
   FleetConfig cfg;
   cfg.shards = 2;
-  WakeTelemetry tel;
-  EXPECT_TRUE(run_fleet(tmpl, cfg, &tel) == serial);
-  EXPECT_GT(tel.epochs_skipped, 0u);
+  EXPECT_TRUE(run_fleet(tmpl, cfg) == run_fleet_serial(tmpl, 0, tmpl.homes()));
 }
 
-TEST(FleetPins, FingerprintsAndWakeCountsAreLiterals) {
+TEST(FleetPins, FingerprintsAreLiterals) {
   // Every other fleet test compares run_fleet against run_fleet_serial in one
   // build. Both share FleetHome and its path-loss memo, so a change that
   // moves both paths alike passes all of them; these literals catch it.
@@ -346,7 +328,7 @@ TEST(FleetPins, FingerprintsAndWakeCountsAreLiterals) {
             7337366986388926627ull);
 
   // A two-hour drain: hours of heartbeats and keep-alives per home after the
-  // last command, the idle steady state the wake calendar exists for.
+  // last command, the idle steady state of a deployed population.
   scenario::ScenarioSpec idle = populated_spec();
   idle.schedule.drain = sim::hours(2);
   const WorldTemplate idle_tmpl{idle};
@@ -354,12 +336,9 @@ TEST(FleetPins, FingerprintsAndWakeCountsAreLiterals) {
   EXPECT_EQ(idle_serial.fingerprint(), 17174347238474782464ull);
   FleetConfig cfg;
   cfg.shards = 2;
-  WakeTelemetry tel;
-  EXPECT_TRUE(run_fleet(idle_tmpl, cfg, &tel) == idle_serial);
-  EXPECT_EQ(tel.wakes, 2910u);
-  EXPECT_EQ(tel.epochs_skipped, 1420u);
+  EXPECT_TRUE(run_fleet(idle_tmpl, cfg) == idle_serial);
 
-  // The house population of HouseHomesSkipEpochsAndHibernateToo.
+  // The house population of HouseHomesHoldParity.
   scenario::ScenarioSpec house = populated_spec();
   house.home.testbed = scenario::Testbed::kHouse;
   house.schedule.drain = sim::hours(1);
@@ -368,10 +347,9 @@ TEST(FleetPins, FingerprintsAndWakeCountsAreLiterals) {
             16458032666658526802ull);
 }
 
-TEST(WakeCalendar, EarliestPossibleEndIsHandled) {
-  // One command at offset 0 with the minimum legal drain: the home's end
-  // lands before most of the epoch grid, so next_wake clamps to end_ almost
-  // immediately. Parity must survive the clamp.
+TEST(FleetParity, EarliestPossibleEndIsHandled) {
+  // One command at offset 0 with the minimum legal drain: each home ends
+  // shortly after its boot deadline.
   scenario::ScenarioSpec spec = populated_spec();
   spec.schedule.commands.resize(1);
   spec.schedule.commands[0].at = sim::Duration{0};
@@ -380,25 +358,73 @@ TEST(WakeCalendar, EarliestPossibleEndIsHandled) {
   const AggregateStats serial = run_fleet_serial(tmpl, 0, tmpl.homes());
   FleetConfig cfg;
   cfg.shards = 3;
-  cfg.max_resident = 2;
   EXPECT_TRUE(run_fleet(tmpl, cfg) == serial);
 }
 
-TEST(WakeCalendar, TelemetryReportsTheResolvedRunShape) {
-  const WorldTemplate tmpl{populated_spec()};
-  FleetConfig cfg;
-  cfg.shards = 2;  // 6 homes -> ranges of 3
-  WakeTelemetry tel;
-  (void)run_fleet(tmpl, cfg, &tel);
-  EXPECT_GE(tel.workers, 1u);
-  EXPECT_EQ(tel.resident_cap, 3u);  // max_resident 0 = whole shard range
+// ---------------------------------------------------------------------------
+// Run shape: the pool starts no thread it cannot give a shard to.
 
-  FleetConfig capped;
-  capped.shards = 2;
-  capped.max_resident = 2;
-  WakeTelemetry capped_tel;
-  (void)run_fleet(tmpl, capped, &capped_tel);
-  EXPECT_EQ(capped_tel.resident_cap, 2u);
+TEST(FleetRun, StartsNoMoreWorkersThanShardsOrHomes) {
+  const WorldTemplate tmpl{populated_spec()};  // 6 homes
+  const AggregateStats serial = run_fleet_serial(tmpl, 0, tmpl.homes());
+
+  FleetConfig cfg;
+  cfg.shards = 2;
+  cfg.workers = 16;
+  WakeTelemetry tel;
+  EXPECT_TRUE(run_fleet(tmpl, cfg, &tel) == serial);
+  EXPECT_EQ(tel.workers, 2u);
+
+  // More shards than homes: two shards are empty, so six threads suffice.
+  FleetConfig wide;
+  wide.shards = 8;
+  wide.workers = 16;
+  WakeTelemetry wide_tel;
+  EXPECT_TRUE(run_fleet(tmpl, wide, &wide_tel) == serial);
+  EXPECT_EQ(wide_tel.workers, 6u);
+
+  FleetConfig automatic;
+  automatic.shards = 2;
+  WakeTelemetry auto_tel;
+  (void)run_fleet(tmpl, automatic, &auto_tel);
+  EXPECT_GE(auto_tel.workers, 1u);
+  EXPECT_LE(auto_tel.workers, 2u);
+}
+
+// ---------------------------------------------------------------------------
+// Memory: a shard holds one live home, so a run's heap does not grow with
+// its home count.
+
+TEST(FleetMemory, PeakHeapIsIndependentOfTheHomeCount) {
+  scenario::ScenarioSpec spec = populated_spec();
+  spec.population.homes = 512;
+  const WorldTemplate tmpl{spec};
+  // Warm-up: anything a first home allocates once per process stays out of
+  // the measurements below.
+  (void)run_fleet_serial(tmpl, 0, 1);
+
+  const auto peak_heap = [](const auto& run) {
+    const std::size_t before = testutil::live_bytes();
+    testutil::reset_peak_bytes();
+    run();
+    return testutil::peak_bytes() - before;
+  };
+  const std::size_t one_home =
+      peak_heap([&] { (void)run_fleet_serial(tmpl, 0, 1); });
+  const auto fleet_of = [&](std::uint64_t homes) {
+    FleetConfig cfg;
+    cfg.homes = homes;
+    cfg.shards = 1;
+    cfg.workers = 1;
+    return peak_heap([&] { (void)run_fleet(tmpl, cfg); });
+  };
+  const std::size_t small = fleet_of(64);
+  const std::size_t large = fleet_of(512);
+  EXPECT_GT(one_home, 0u);
+  // 448 more homes may not add even one home's footprint to the peak.
+  EXPECT_LT(large, small + one_home)
+      << "peak heap: 64 homes " << small << " B, 512 homes " << large
+      << " B, one home " << one_home << " B";
 }
 
 // ---------------------------------------------------------------------------

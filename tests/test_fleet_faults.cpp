@@ -583,14 +583,14 @@ TEST(FleetFaultIntegration, OrchestratedParityAcrossShardLayouts) {
   EXPECT_EQ(serial.fingerprint(), 8031962011589378937ull);
 
   for (const unsigned shards : {1u, 2u, 8u}) {
-    for (const std::uint64_t resident : {0ull, 2ull}) {
+    for (const unsigned workers : {0u, 1u}) {
       FleetConfig cfg;
       cfg.shards = shards;
-      cfg.max_resident = resident;
+      cfg.workers = workers;
       const AggregateStats fleet = run_fleet(tmpl, cfg);
       EXPECT_TRUE(fleet == serial)
-          << shards << " shards, max_resident " << resident
-          << ": fingerprint " << fleet.fingerprint() << " != "
+          << shards << " shards, " << workers
+          << " worker(s): fingerprint " << fleet.fingerprint() << " != "
           << serial.fingerprint();
     }
   }

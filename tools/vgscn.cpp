@@ -54,9 +54,8 @@ const char kUsageText[] =
     "  vgscn gen <seed> [out.scn]\n"
     "  vgscn run <file.scn> | --seed N\n"
     "  vgscn fuzz [--first N] [--count N]\n"
-    "  vgscn fleet <file.scn> [--homes N] [--shards N] [--resident N]\n"
-    "              [--workers N] [--fault-plan NAME] [--region-report]\n"
-    "              [--check]\n"
+    "  vgscn fleet <file.scn> [--homes N] [--shards N] [--workers N]\n"
+    "              [--fault-plan NAME] [--region-report] [--check]\n"
     "  vgscn list\n"
     "  vgscn --help | --version\n";
 
@@ -81,9 +80,9 @@ int cmd_help() {
       "  fleet     instantiate a population of homes from a scripted .scn\n"
       "            (its [population] section, or --homes) and stream their\n"
       "            aggregate stats; --shards N fans them across shards,\n"
-      "            --resident N caps concurrently-live homes per shard\n"
-      "            (0 = whole shard range resident), --workers N sets the\n"
-      "            pool thread count (0 = min(shards, cores)),\n"
+      "            each running its homes one at a time, --workers N sets\n"
+      "            the pool thread count (0 = cores; never more than\n"
+      "            shards or homes),\n"
       "            --fault-plan NAME overrides the [fleet_faults] section\n"
       "            with a named orchestration plan (see `vgscn list`),\n"
       "            --region-report prints per-region degradation counters,\n"
@@ -198,8 +197,8 @@ int cmd_fuzz(std::uint64_t first, std::uint64_t count) {
 }
 
 int cmd_fleet(const std::string& path, std::uint64_t homes, unsigned shards,
-              std::uint64_t resident, unsigned workers,
-              const std::string& plan_name, bool region_report, bool check) {
+              unsigned workers, const std::string& plan_name,
+              bool region_report, bool check) {
   scenario::ScenarioSpec spec = load_spec(path);
   if (!plan_name.empty()) {
     const fleet::FleetFaultPlan* plan = fleet::fleet_fault_plan(plan_name);
@@ -230,7 +229,6 @@ int cmd_fleet(const std::string& path, std::uint64_t homes, unsigned shards,
 
   fleet::FleetConfig cfg;
   cfg.shards = shards;
-  cfg.max_resident = resident;
   cfg.workers = workers;
   const std::uint64_t total = tmpl->homes();
   // An out-of-range run shape (e.g. --homes past FleetConfig::kMaxHomes) is
@@ -248,12 +246,7 @@ int cmd_fleet(const std::string& path, std::uint64_t homes, unsigned shards,
   fleet::WakeTelemetry tel;
   const fleet::AggregateStats stats = fleet::run_fleet(*tmpl, cfg, &tel);
   std::printf("%s\n", stats.to_string().c_str());
-  std::printf(
-      "calendar: %llu wake(s), %llu empty epoch(s) skipped; %u worker(s), "
-      "resident cap %llu\n",
-      static_cast<unsigned long long>(tel.wakes),
-      static_cast<unsigned long long>(tel.epochs_skipped), tel.workers,
-      static_cast<unsigned long long>(tel.resident_cap));
+  std::printf("pool: %u worker(s), one live home each\n", tel.workers);
 
   if (region_report) {
     const auto& degraded = stats.region_degraded();
@@ -382,7 +375,6 @@ int main(int argc, char** argv) {
       if (args.size() < 2 || args[1].rfind("--", 0) == 0) return usage();
       std::uint64_t homes = 0;
       std::uint64_t shards = 1;
-      std::uint64_t resident = 0;
       std::uint64_t workers = 0;
       std::string plan_name;
       bool region_report = false;
@@ -395,12 +387,8 @@ int main(int argc, char** argv) {
               shards > 4096) {
             return usage();
           }
-        } else if (args[i] == "--resident" && i + 1 < args.size()) {
-          // 0 is a deliberate value (whole shard range resident), so only a
-          // non-numeric or missing operand is a usage error.
-          if (!parse_u64(args[++i], resident)) return usage();
         } else if (args[i] == "--workers" && i + 1 < args.size()) {
-          // 0 = auto (min(shards, cores)); cap matches --shards.
+          // 0 = auto (the core count); cap matches --shards.
           if (!parse_u64(args[++i], workers) || workers > 4096) {
             return usage();
           }
@@ -416,7 +404,7 @@ int main(int argc, char** argv) {
         }
       }
       return cmd_fleet(args[1], homes, static_cast<unsigned>(shards),
-                       resident, static_cast<unsigned>(workers), plan_name,
+                       static_cast<unsigned>(workers), plan_name,
                        region_report, check);
     }
     return usage();
